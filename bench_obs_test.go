@@ -7,16 +7,13 @@ package iqrudp_test
 //
 // Two budgets, both from DESIGN.md §14:
 //
-//   - histogram recording adds ZERO allocations to a steady-state message
-//     round (TestObsAllocParity, ungated — runs in tier-1);
+//   - histogram recording, and histograms plus the flight-recorder ring (the
+//     serve engine's default posture for accepted connections), add ZERO
+//     allocations to a steady-state message round (TestObsAllocParity,
+//     ungated — runs in tier-1);
 //   - histogram recording adds at most 5% ns/op to the steady-state round
 //     (TestObsBenchJSON, gated on BENCH_OBS_JSON; `make bench-obs` records
-//     the A/B into BENCH_obs.json).
-//
-// The "full" leg (histograms + flight-recorder ring) is measured and
-// reported for information but carries no alloc budget: the ring is a trace
-// sink, and the serve engine arms it only for accepted connections, off the
-// dialed fast path.
+//     the A/B into BENCH_obs.json). The full leg's ns/op is reported.
 
 import (
 	"encoding/json"
@@ -74,10 +71,12 @@ func minNsPerRound(mk func() core.Config, n int) float64 {
 }
 
 // TestObsAllocParity pins the zero-allocation budget: a machine with
-// histograms armed must spend exactly as few allocations per steady-state
-// round as an uninstrumented one, and must actually be recording.
+// histograms armed, and one with histograms plus the flight ring, must
+// spend exactly as few allocations per steady-state round as an
+// uninstrumented one, and must actually be recording.
 func TestObsAllocParity(t *testing.T) {
 	off, _ := measureRoundAllocsCfg(t, core.DefaultConfig)
+	full, _ := measureRoundAllocsCfg(t, fullObsConfig)
 
 	a, w := newPipePairCfg(t, histConfig)
 	payload := make([]byte, 1200)
@@ -99,9 +98,12 @@ func TestObsAllocParity(t *testing.T) {
 		}
 	}
 
-	t.Logf("round allocs: %.2f uninstrumented, %.2f with histograms", off, on)
+	t.Logf("round allocs: %.2f uninstrumented, %.2f with histograms, %.2f with histograms and flight ring", off, on, full)
 	if on > off {
 		t.Fatalf("histogram recording allocates: %.2f/round with hists, %.2f without", on, off)
+	}
+	if full > off {
+		t.Fatalf("flight ring allocates: %.2f/round with hists and ring, %.2f without", full, off)
 	}
 }
 
@@ -158,6 +160,9 @@ func TestObsBenchJSON(t *testing.T) {
 
 	if onAllocs > offAllocs {
 		t.Errorf("histogram recording allocates: %.2f/round vs %.2f", onAllocs, offAllocs)
+	}
+	if fullAllocs > offAllocs {
+		t.Errorf("flight ring allocates: %.2f/round vs %.2f", fullAllocs, offAllocs)
 	}
 	if report.HistOverhead > 0.05 {
 		t.Errorf("histogram ns/op overhead %+.1f%% exceeds the 5%% budget", 100*report.HistOverhead)

@@ -17,7 +17,15 @@
 // The analysis is per-function and flow-approximate by design: passing
 // the value to another function is treated as a borrow (the callee must
 // not retain — that is borrowcheck's jurisdiction), matching the
-// Env.Emit / HandlePacket ownership contract.
+// Env.Emit / HandlePacket ownership contract. The exception is a hand-off:
+// a call to a function, or through a value of a func type, whose doc
+// comment in the same package carries //iqlint:owns takes ownership of the
+// acquired value passed to it (directly or resliced). That transfers
+// ownership like a channel send, and any later use of the value is
+// flagged like a use after Put — the new owner may already have returned
+// it to the pool. This is how the serve engine's pooled transmit buffers
+// travel from an accepted connection's Emit to the shard's transmit loop
+// (udpwire.SendFunc, serve's enqueueTx).
 package poolcheck
 
 import (
@@ -36,12 +44,13 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
+	owners := ownerDecls(pass)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
 				if fn.Body != nil {
-					checkFunc(pass, fn.Body)
+					checkFunc(pass, fn.Body, owners)
 				}
 				return false // nested closures handled inside checkFunc
 			}
@@ -49,6 +58,52 @@ func run(pass *analysis.Pass) error {
 		})
 	}
 	return nil
+}
+
+// ownerDecls collects the package's //iqlint:owns functions and func types.
+func ownerDecls(pass *analysis.Pass) map[types.Object]bool {
+	owners := map[types.Object]bool{}
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if analysis.HasDirective(d, analysis.OwnsDirective) {
+					owners[pass.Info.Defs[d.Name]] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					doc := ts.Doc
+					if doc == nil && len(d.Specs) == 1 {
+						doc = d.Doc
+					}
+					if analysis.DocHasDirective(doc, analysis.OwnsDirective) {
+						owners[pass.Info.Defs[ts.Name]] = true
+					}
+				}
+			}
+		}
+	}
+	return owners
+}
+
+// owningCall reports whether call hands ownership of its arguments to the
+// callee: the callee is an //iqlint:owns function, or the called value's
+// type is an //iqlint:owns func type.
+func owningCall(pass *analysis.Pass, call *ast.CallExpr, owners map[types.Object]bool) bool {
+	if len(owners) == 0 {
+		return false
+	}
+	if f := pass.Callee(call); f != nil && owners[f] {
+		return true
+	}
+	if named, ok := pass.Info.TypeOf(call.Fun).(*types.Named); ok {
+		return owners[named.Obj()]
+	}
+	return false
 }
 
 // acquire is one pooled Get assigned to a local variable.
@@ -59,6 +114,7 @@ type acquire struct {
 	released bool
 	escaped  bool
 	puts     []token.Pos // non-deferred Put positions
+	handoffs []token.Pos // ends of calls that took ownership
 }
 
 // isGet classifies a call as a pooled acquire.
@@ -82,7 +138,7 @@ func isPut(pass *analysis.Pass, call *ast.CallExpr) (ast.Expr, bool) {
 	return nil, false
 }
 
-func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
+func checkFunc(pass *analysis.Pass, body *ast.BlockStmt, owners map[types.Object]bool) {
 	// Pass 1: find acquires bound to simple identifiers.
 	acquires := map[types.Object]*acquire{}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -145,6 +201,17 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 					}
 					return false // don't treat the Put arg as an escape
 				}
+				if !deferred && owningCall(pass, s, owners) {
+					for _, arg := range s.Args {
+						if sl, ok := ast.Unparen(arg).(*ast.SliceExpr); ok {
+							arg = sl.X
+						}
+						if a := acquires[objOf(arg)]; a != nil {
+							a.escaped = true
+							a.handoffs = append(a.handoffs, s.End())
+						}
+					}
+				}
 			case *ast.ReturnStmt:
 				for _, r := range s.Results {
 					if a := acquires[objOf(r)]; a != nil {
@@ -190,10 +257,14 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 		}
 	}
 
-	// Pass 3: use-after-Put along source order, reset by rebinding.
+	// Pass 3: use-after-Put (or after a hand-off) along source order,
+	// reset by rebinding.
 	for _, a := range acquires {
 		for _, putPos := range a.puts {
-			checkUseAfter(pass, body, a, putPos)
+			checkUseAfter(pass, body, a, putPos, "after Put returned it to the pool (data race with the next Get)")
+		}
+		for _, pos := range a.handoffs {
+			checkUseAfter(pass, body, a, pos, "after its ownership was handed off (the new owner may already have returned it to the pool)")
 		}
 	}
 }
@@ -219,8 +290,8 @@ func escapingLHS(pass *analysis.Pass, lhs ast.Expr) bool {
 }
 
 // checkUseAfter flags uses of a's object lexically after a non-deferred Put
-// and before any rebinding of the variable.
-func checkUseAfter(pass *analysis.Pass, body *ast.BlockStmt, a *acquire, putPos token.Pos) {
+// (or hand-off) and before any rebinding of the variable.
+func checkUseAfter(pass *analysis.Pass, body *ast.BlockStmt, a *acquire, putPos token.Pos, why string) {
 	rebound := token.Pos(-1)
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
@@ -246,7 +317,7 @@ func checkUseAfter(pass *analysis.Pass, body *ast.BlockStmt, a *acquire, putPos 
 			return true
 		}
 		if id.Pos() > putPos && (rebound == token.Pos(-1) || id.Pos() < rebound) {
-			pass.Reportf(id.Pos(), "use of %s after Put returned it to the pool (data race with the next Get)", id.Name)
+			pass.Reportf(id.Pos(), "use of %s %s", id.Name, why)
 		}
 		return true
 	})

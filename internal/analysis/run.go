@@ -18,20 +18,34 @@ import (
 //	//iqlint:borrow
 //
 // in a function's doc comment opts that function's *packet.Packet
-// parameters into the borrowcheck contract (see that analyzer).
+// parameters into the borrowcheck contract (see that analyzer), and
+//
+//	//iqlint:owns
+//
+// in the doc comment of a function or of a func type marks calls to it as
+// taking ownership of the pooled buffers passed to them (see poolcheck).
 const (
 	ignoreDirective = "iqlint:ignore"
 	// BorrowDirective marks a function whose packet parameters are borrowed.
 	BorrowDirective = "iqlint:borrow"
+	// OwnsDirective marks a function, or a func type, whose calls take
+	// ownership of their pooled-buffer arguments.
+	OwnsDirective = "iqlint:owns"
 )
 
 // HasDirective reports whether the function's doc comment carries the
 // given //iqlint: directive.
 func HasDirective(fd *ast.FuncDecl, directive string) bool {
-	if fd.Doc == nil {
+	return DocHasDirective(fd.Doc, directive)
+}
+
+// DocHasDirective reports whether a doc comment carries the given //iqlint:
+// directive.
+func DocHasDirective(doc *ast.CommentGroup, directive string) bool {
+	if doc == nil {
 		return false
 	}
-	for _, c := range fd.Doc.List {
+	for _, c := range doc.List {
 		text := strings.TrimPrefix(c.Text, "//")
 		text = strings.TrimSpace(text)
 		if text == directive || strings.HasPrefix(text, directive+" ") {

@@ -58,3 +58,39 @@ func rebindingResets() {
 	defer packet.Put(p)
 	_ = p.Seq // fine: p was rebound to a fresh packet
 }
+
+// sink takes ownership of the buffers handed to it.
+//
+//iqlint:owns
+func sink(b []byte) error { return nil }
+
+// sendFunc values take ownership of the buffers handed to them.
+//
+//iqlint:owns
+type sendFunc func(b []byte) error
+
+func borrow(b []byte) {}
+
+func handedOff(pool *uio.BufPool) error {
+	b := pool.Get() // ownership moves to sink
+	return sink(b[:8])
+}
+
+func handedOffThroughFuncType(pool *uio.BufPool, send sendFunc) {
+	b := pool.Get()
+	b = append(b[:0], 'x')
+	if err := send(b); err != nil {
+		return
+	}
+}
+
+func useAfterHandoff(pool *uio.BufPool) {
+	b := pool.Get()
+	_ = sink(b)
+	_ = b[0] // want `use of b after its ownership was handed off`
+}
+
+func borrowIsNotHandoff(pool *uio.BufPool) {
+	b := pool.Get() // want `uio.BufPool.Get result is never released`
+	borrow(b)
+}

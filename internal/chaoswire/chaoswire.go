@@ -34,6 +34,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -41,6 +42,7 @@ import (
 
 	"github.com/cercs/iqrudp/internal/packet"
 	"github.com/cercs/iqrudp/internal/trace"
+	"github.com/cercs/iqrudp/internal/uio"
 )
 
 // Faults is one direction's fault probabilities. All are per-datagram and
@@ -423,18 +425,20 @@ func (p *Proxy) traceFault(reason string, b []byte) {
 	p.cfg.Tracer.Trace(ev)
 }
 
-// FaultySendTo decorates an acceptor's sendTo hook (udpwire.NewAccepted)
+// FaultySendTo decorates an acceptor's sendTo hook (a udpwire.SendFunc)
 // with injected socket errors: with probability prob per call the inner
 // writer is bypassed and the call fails with ENOBUFS or io.ErrShortWrite
 // (alternating by a second seeded roll), exercising the driver's
 // NoteTxError accounting the way an overrun kernel transmit queue would.
-// Decisions come from their own PCG stream of seed, independent of any
-// Proxy. The returned function is safe for concurrent use.
-func FaultySendTo(inner func(b []byte, peer *net.UDPAddr) error, seed uint64, prob float64, tr trace.Tracer) func(b []byte, peer *net.UDPAddr) error {
+// The hook owns the buffer it is handed, so a bypassed call returns b to
+// pool, the connection's transmit pool. Decisions come from their own PCG
+// stream of seed, independent of any Proxy. The returned function is safe
+// for concurrent use.
+func FaultySendTo(inner func(b []byte, peer netip.AddrPort) error, pool *uio.BufPool, seed uint64, prob float64, tr trace.Tracer) func(b []byte, peer netip.AddrPort) error {
 	var mu sync.Mutex
 	rng := rand.New(rand.NewPCG(seed, 0x5e))
 	epoch := time.Now()
-	return func(b []byte, peer *net.UDPAddr) error {
+	return func(b []byte, peer netip.AddrPort) error {
 		mu.Lock()
 		inject := rng.Float64() < prob
 		short := inject && rng.Float64() < 0.5
@@ -460,6 +464,7 @@ func FaultySendTo(inner func(b []byte, peer *net.UDPAddr) error, seed uint64, pr
 			}
 			tr.Trace(ev)
 		}
+		pool.Put(b)
 		return err
 	}
 }

@@ -5,11 +5,13 @@ import (
 	"io"
 	"math/rand/v2"
 	"net"
+	"net/netip"
 	"syscall"
 	"testing"
 	"time"
 
 	"github.com/cercs/iqrudp/internal/trace"
+	"github.com/cercs/iqrudp/internal/uio"
 )
 
 // newLaneProxy builds a Proxy shell with seeded lanes but no sockets, for
@@ -41,8 +43,14 @@ func runLane(p *Proxy, n int) Stats {
 	for time.Now().Before(deadline) {
 		s := p.Stats()
 		// Every datagram ends up forwarded or dropped (duplicates add one
-		// extra forward); at most one reorder hold can remain in the lane.
-		if s.Forwarded+s.Drops+1 >= uint64(n)+s.Dups {
+		// extra forward), except a reorder hold still parked in the lane.
+		p.up.mu.Lock()
+		var held uint64
+		if p.up.held != nil {
+			held = 1
+		}
+		p.up.mu.Unlock()
+		if s.Forwarded+s.Drops+held >= uint64(n)+s.Dups {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -147,11 +155,12 @@ func TestProxyRelaysOverSockets(t *testing.T) {
 // are seeded-deterministic; prob 0 is a pure pass-through.
 func TestFaultySendTo(t *testing.T) {
 	calls := 0
-	inner := func(b []byte, peer *net.UDPAddr) error { calls++; return nil }
+	inner := func(b []byte, peer netip.AddrPort) error { calls++; return nil }
+	pool := uio.NewBufPool(64)
 
-	clean := FaultySendTo(inner, 3, 0, nil)
+	clean := FaultySendTo(inner, pool, 3, 0, nil)
 	for i := 0; i < 10; i++ {
-		if err := clean([]byte("x"), nil); err != nil {
+		if err := clean([]byte("x"), netip.AddrPort{}); err != nil {
 			t.Fatalf("prob=0 injected error: %v", err)
 		}
 	}
@@ -160,10 +169,10 @@ func TestFaultySendTo(t *testing.T) {
 	}
 
 	errsOf := func(seed uint64) []error {
-		f := FaultySendTo(inner, seed, 1, nil)
+		f := FaultySendTo(inner, pool, seed, 1, nil)
 		var out []error
 		for i := 0; i < 20; i++ {
-			out = append(out, f([]byte("x"), nil))
+			out = append(out, f(pool.Get(), netip.AddrPort{}))
 		}
 		return out
 	}

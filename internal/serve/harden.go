@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"net"
+	"net/netip"
 	"sync/atomic"
 	"time"
 
@@ -62,12 +63,13 @@ func (g *ampGate) promote() bool {
 }
 
 // gatedSendTo wraps the shard's transmit hook with g's budget: packets to a
-// not-yet-validated peer beyond 3x the bytes it has sent are suppressed and
-// counted. connID only labels the trace event.
-func (sh *shard) gatedSendTo(g *ampGate, connID uint32) func([]byte, *net.UDPAddr) error {
+// not-yet-validated peer beyond 3x the bytes it has sent are suppressed
+// (their buffer returned to the pool) and counted. connID only labels the
+// trace event.
+func (sh *shard) gatedSendTo(g *ampGate, connID uint32) udpwire.SendFunc {
 	srv := sh.srv
 	io := sh.io
-	return func(b []byte, raddr *net.UDPAddr) error {
+	return func(b []byte, dst netip.AddrPort) error {
 		if !g.promote() {
 			if g.budget.Add(-int64(len(b))) < 0 {
 				g.budget.Add(int64(len(b))) // restore; nothing was sent
@@ -77,10 +79,11 @@ func (sh *shard) gatedSendTo(g *ampGate, connID uint32) func([]byte, *net.UDPAdd
 						Type: trace.AmpCapped, ConnID: connID, Size: len(b),
 					})
 				}
+				srv.txPool.Put(b)
 				return errAmpCapped
 			}
 		}
-		return io.enqueueTx(b, raddr)
+		return io.enqueueTx(b, dst)
 	}
 }
 
@@ -127,20 +130,18 @@ func (srv *Server) cookieMode(synRate int64) bool {
 // handles this transparently, costing legitimate dialers one round trip).
 // A RETRY is barely larger than the minimal SYN that elicits it, so the
 // reflected amplitude stays well under the 3x budget by construction.
+// raddr is src in the guard toolkit's net form, already built by the caller.
 //
 //iqlint:borrow
-func (sh *shard) sendRetry(p *packet.Packet, raddr *net.UDPAddr, reason string) {
+func (sh *shard) sendRetry(p *packet.Packet, src netip.AddrPort, raddr *net.UDPAddr, reason string) {
 	srv := sh.srv
 	cookie := srv.cookies.Mint(raddr, p.ConnID, time.Now())
-	b, err := packet.Encode(&packet.Packet{
+	_ = sh.io.encodeTx(&packet.Packet{
 		Type:    packet.RETRY,
 		ConnID:  p.ConnID,
 		Ack:     p.Seq + 1,
 		Payload: cookie,
-	})
-	if err == nil {
-		_ = sh.io.enqueueTx(b, raddr)
-	}
+	}, src)
 	srv.retrySent.Add(1)
 	if srv.cfg.Tracer != nil {
 		srv.cfg.Tracer.Trace(trace.Event{

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -72,6 +73,15 @@ func TestSynFloodStateless(t *testing.T) {
 	}
 	if srv.Conns() != 1 {
 		t.Fatalf("Conns = %d, want 1", srv.Conns())
+	}
+	// The flood and the dial may land on different shard sockets, so the
+	// flood shard can still be working through its queue (slowly under
+	// -race) when the dial completes: give it a bounded moment to finish.
+	for deadline := time.Now().Add(5 * time.Second); st.RetrySent < syns && time.Now().Before(deadline); st = srv.Stats() {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st.Accepted != 1 || srv.Conns() != 1 {
+		t.Fatalf("after the flood drained: accepted = %d, Conns = %d, want only the legitimate dial", st.Accepted, srv.Conns())
 	}
 	if st.RetrySent < syns {
 		t.Fatalf("retry sent = %d, want >= %d (one per flood SYN)", st.RetrySent, syns)
@@ -160,7 +170,7 @@ func TestRstRateCap(t *testing.T) {
 	srv := startServer(t, Options{Shards: 1, DrainTimeout: time.Second, RSTRate: 5})
 
 	sh := srv.shards[0]
-	raddr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9999}
+	raddr := netip.MustParseAddrPort("127.0.0.1:9999")
 	p := &packet.Packet{Type: packet.SYN, ConnID: 41, Seq: 1}
 	const refusals = 40
 	for i := 0; i < refusals; i++ {
@@ -181,50 +191,71 @@ func TestRstRateCap(t *testing.T) {
 
 // FuzzServerDemux: arbitrary datagrams into a live validating engine must
 // never panic, never allocate connection state, and never elicit responses
-// beyond the anti-amplification budget.
+// beyond the anti-amplification budget. src picks the source family: an
+// IPv4 socket into an IPv4 engine (0), an IPv4 socket into a dual-stack
+// engine, which sees a v4-mapped IPv6 source (1), or an IPv6 socket into
+// the dual-stack engine (2).
 func FuzzServerDemux(f *testing.F) {
-	srv, err := Listen("127.0.0.1:0", testConfig(), Options{Shards: 2, DrainTimeout: time.Second, AlwaysValidate: true})
-	if err != nil {
-		f.Fatalf("Listen: %v", err)
+	opt := Options{Shards: 2, DrainTimeout: time.Second, AlwaysValidate: true}
+	type lane struct {
+		srv  *Server
+		sock *net.UDPConn
+		dst  netip.AddrPort
 	}
-	f.Cleanup(func() { srv.Close() })
-
-	sock, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		f.Fatalf("fuzz socket: %v", err)
+	var lanes []lane
+	for _, l := range []struct{ engine, local, dst string }{
+		{"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1"},
+		{"[::]:0", "127.0.0.1:0", "127.0.0.1"},
+		{"[::]:0", "[::1]:0", "::1"},
+	} {
+		srv, err := Listen(l.engine, testConfig(), opt)
+		if err != nil {
+			f.Logf("engine %s: %v (family not fuzzed)", l.engine, err)
+			continue
+		}
+		f.Cleanup(func() { srv.Close() })
+		sock, err := net.ListenUDP("udp", net.UDPAddrFromAddrPort(netip.MustParseAddrPort(l.local)))
+		if err != nil {
+			f.Logf("fuzz socket %s: %v (family not fuzzed)", l.local, err)
+			continue
+		}
+		f.Cleanup(func() { sock.Close() })
+		port := uint16(srv.Addr().(*net.UDPAddr).Port)
+		lanes = append(lanes, lane{srv, sock, netip.AddrPortFrom(netip.MustParseAddr(l.dst), port)})
 	}
-	f.Cleanup(func() { sock.Close() })
-	dst, err := net.ResolveUDPAddr("udp", srv.Addr().String())
-	if err != nil {
-		f.Fatalf("resolve: %v", err)
+	if len(lanes) == 0 {
+		f.Fatal("no engine could be started")
 	}
 
 	if b, err := packet.Encode(&packet.Packet{Type: packet.SYN, ConnID: 7, Seq: 1, Wnd: 64}); err == nil {
-		f.Add(b)
+		for src := uint8(0); src < 3; src++ {
+			f.Add(b, src)
+		}
 		// Version-flipped and truncated variants of a well-formed SYN.
 		flipped := append([]byte(nil), b...)
 		flipped[0] ^= 0xFF
-		f.Add(flipped)
-		f.Add(b[:len(b)/2])
+		f.Add(flipped, uint8(0))
+		f.Add(b[:len(b)/2], uint8(2))
 	}
-	f.Add([]byte{})
-	f.Add([]byte{0x00})
-	f.Add([]byte("not a packet at all, just bytes on the wire"))
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{0x00}, uint8(1))
+	f.Add([]byte("not a packet at all, just bytes on the wire"), uint8(0))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, src uint8) {
 		if len(data) > 65000 {
 			return
 		}
-		if _, err := sock.WriteToUDP(data, dst); err != nil {
+		l := lanes[int(src)%len(lanes)]
+		if _, err := l.sock.WriteToUDPAddrPort(data, l.dst); err != nil {
 			t.Skipf("write: %v", err)
 		}
 		// Give the read loop a moment to route the datagram.
 		time.Sleep(200 * time.Microsecond)
 
-		if n := srv.Conns(); n != 0 {
+		if n := l.srv.Conns(); n != 0 {
 			t.Fatalf("fuzz datagram allocated %d connections", n)
 		}
-		st := srv.Stats()
+		st := l.srv.Stats()
 		if st.Accepted != 0 {
 			t.Fatalf("fuzz datagram was accepted: %d", st.Accepted)
 		}

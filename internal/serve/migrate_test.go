@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"github.com/cercs/iqrudp/internal/packet"
+	"github.com/cercs/iqrudp/internal/udpwire"
+	"github.com/cercs/iqrudp/internal/uio"
 )
 
 // rawClient drives the wire protocol by hand from an arbitrary UDP socket,
@@ -18,7 +20,13 @@ type rawClient struct {
 
 func newRawClient(t *testing.T, dst net.Addr) *rawClient {
 	t.Helper()
-	sock, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	return newRawClientOn(t, net.IPv4(127, 0, 0, 1), dst)
+}
+
+// newRawClientOn is newRawClient with its socket bound to local.
+func newRawClientOn(t *testing.T, local net.IP, dst net.Addr) *rawClient {
+	t.Helper()
+	sock, err := net.ListenUDP("udp", &net.UDPAddr{IP: local})
 	if err != nil {
 		t.Fatalf("raw client socket: %v", err)
 	}
@@ -65,11 +73,26 @@ func (rc *rawClient) waitFor(want packet.Type, timeout time.Duration) *packet.Pa
 	}
 }
 
+// awaitMigrations waits until the engine has counted want migrations. The
+// shard re-keys its address table and counts a migration after the
+// connection has handled the packet that moved it, so a delivery can be
+// observed a moment before the bookkeeping.
+func awaitMigrations(t *testing.T, srv *Server, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Stats().Migrations < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := srv.Stats().Migrations; got != want {
+		t.Fatalf("migrations = %d, want %d", got, want)
+	}
+}
+
 // addrKeyed reports whether addr maps to id in the shard's byAddr table.
 func addrKeyed(sh *shard, addr *net.UDPAddr, id uint32) bool {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	got, ok := sh.byAddr[addr.String()]
+	got, ok := sh.byAddr[uio.Canonical(addr.AddrPort())]
 	return ok && got == id
 }
 
@@ -128,14 +151,12 @@ func TestPeerMigration(t *testing.T) {
 	if got := sc.RemoteAddr().String(); got != addr2.String() {
 		t.Fatalf("RemoteAddr = %v, want migrated %v", got, addr2)
 	}
+	awaitMigrations(t, srv, 1)
 	if addrKeyed(home, addr1, connID) {
 		t.Fatalf("stale byAddr entry for %v not reaped", addr1)
 	}
 	if !addrKeyed(home, addr2, connID) {
 		t.Fatalf("no byAddr entry for migrated address %v", addr2)
-	}
-	if got := srv.Stats().Migrations; got != 1 {
-		t.Fatalf("migrations = %d, want 1", got)
 	}
 	// The ack for the migrated DATA must go to the new address.
 	c2.waitFor(packet.ACK, 5*time.Second)
@@ -217,5 +238,84 @@ func TestZombieEviction(t *testing.T) {
 	}
 	if srv.Conns() != 1 {
 		t.Fatalf("Conns = %d, want 1 after eviction", srv.Conns())
+	}
+}
+
+// handshake drives c through SYN/SYNACK/ACK for connID and one marked DATA
+// message, returning the accepted connection, the next DATA sequence number
+// and the ack number the client's packets carry.
+func (rc *rawClient) handshake(srv *Server, connID uint32) (sc *udpwire.Conn, seq, ack uint32) {
+	rc.t.Helper()
+	rc.send(&packet.Packet{Type: packet.SYN, ConnID: connID, Seq: 100, Wnd: 64})
+	synack := rc.waitFor(packet.SYNACK, 5*time.Second)
+	sc, err := srv.Accept(5 * time.Second)
+	if err != nil {
+		rc.t.Fatalf("Accept: %v", err)
+	}
+	ack = synack.Seq + 1
+	rc.send(&packet.Packet{Type: packet.ACK, ConnID: connID, Seq: 101, Ack: ack, Wnd: 64})
+	rc.data(sc, connID, 101, ack, "hello")
+	return sc, 102, ack
+}
+
+// data sends one single-fragment marked message and waits for sc to
+// deliver it.
+func (rc *rawClient) data(sc *udpwire.Conn, connID, seq, ack uint32, body string) {
+	rc.t.Helper()
+	rc.send(&packet.Packet{
+		Type: packet.DATA, ConnID: connID, Flags: packet.FlagMarked | packet.FlagMsgEnd,
+		Seq: seq, Ack: ack, Wnd: 64, MsgID: seq, FragCnt: 1, Payload: []byte(body),
+	})
+	msg, err := sc.Recv(5 * time.Second)
+	if err != nil || string(msg.Data) != body {
+		rc.t.Fatalf("Recv = %q, %v; want %q", msg.Data, err, body)
+	}
+}
+
+// TestCanonicalPeerAddress: on a dual-stack engine socket an IPv4 peer
+// arrives as a v4-mapped IPv6 source. It must key the demux tables and
+// report RemoteAddr in the same plain IPv4 form the peer's own socket uses,
+// so its packets resolve to one connection with no migration counted. A
+// real source-port change still migrates, and IPv6 peers keep their form.
+func TestCanonicalPeerAddress(t *testing.T) {
+	srv, err := Listen("[::]:0", testConfig(), Options{Shards: 1, DrainTimeout: time.Second})
+	if err != nil {
+		t.Skipf("no dual-stack socket: %v", err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	port := srv.Addr().(*net.UDPAddr).Port
+	home := srv.homeShard(0)
+	v4dst := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: port}
+
+	const connID = 0x40
+	c1 := newRawClient(t, v4dst)
+	sc, seq, ack := c1.handshake(srv, connID)
+	c1.data(sc, connID, seq, ack, "again")
+	addr1 := c1.sock.LocalAddr().(*net.UDPAddr)
+	if got := sc.RemoteAddr().String(); got != addr1.String() {
+		t.Fatalf("RemoteAddr = %q, want %q (plain IPv4)", got, addr1)
+	}
+	if !addrKeyed(home, addr1, connID) {
+		t.Fatalf("no byAddr entry for the plain IPv4 form %v", addr1)
+	}
+	if got := srv.Stats().Migrations; got != 0 {
+		t.Fatalf("migrations = %d after packets from one v4-mapped source, want 0", got)
+	}
+
+	c2 := newRawClient(t, v4dst)
+	c2.data(sc, connID, seq+1, ack, "rebound")
+	addr2 := c2.sock.LocalAddr().(*net.UDPAddr)
+	awaitMigrations(t, srv, 1)
+	if got := sc.RemoteAddr().String(); got != addr2.String() {
+		t.Fatalf("RemoteAddr = %q after migration, want %q", got, addr2)
+	}
+	if addrKeyed(home, addr1, connID) || !addrKeyed(home, addr2, connID) {
+		t.Fatal("migration did not re-key the address table")
+	}
+
+	c6 := newRawClientOn(t, net.IPv6loopback, &net.UDPAddr{IP: net.IPv6loopback, Port: port})
+	sc6, _, _ := c6.handshake(srv, connID+1)
+	if got, want := sc6.RemoteAddr().String(), c6.sock.LocalAddr().String(); got != want {
+		t.Fatalf("IPv6 RemoteAddr = %q, want %q", got, want)
 	}
 }

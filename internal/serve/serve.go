@@ -42,6 +42,7 @@ package serve
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -210,6 +211,7 @@ type Server struct {
 	socks   []*net.UDPConn
 	shards  []*shard
 	rxPool  *uio.BufPool // receive buffers, shared by every shard's batcher
+	txPool  *uio.BufPool // transmit buffers: Emit, RETRY and RST encode into them
 	offload uio.Offload  // kernel segmentation-offload support probed at bind
 	accept  chan *udpwire.Conn
 
@@ -261,7 +263,7 @@ func Listen(laddr string, cfg core.Config, opt Options) (*Server, error) {
 	if opt.NoOffload {
 		offload = uio.Offload{}
 	}
-	bufSize := rxBufSize(cfg)
+	bufSize := udpwire.BufSize(cfg)
 	if offload.GRO {
 		bufSize = uio.GROBufSize
 	}
@@ -270,6 +272,7 @@ func Listen(laddr string, cfg core.Config, opt Options) (*Server, error) {
 		opt:     opt,
 		socks:   socks,
 		rxPool:  uio.NewBufPool(bufSize),
+		txPool:  uio.NewBufPool(udpwire.BufSize(cfg)),
 		offload: offload,
 		shards:  make([]*shard, opt.Shards),
 		accept:  make(chan *udpwire.Conn, opt.Backlog),
@@ -303,7 +306,7 @@ func Listen(laddr string, cfg core.Config, opt Options) (*Server, error) {
 			sock:      socks[i%len(socks)],
 			wh:        wheel.New(0),
 			byID:      make(map[uint32]*udpwire.Conn),
-			byAddr:    make(map[string]uint32),
+			byAddr:    make(map[netip.AddrPort]uint32),
 			gates:     make(map[uint32]*ampGate),
 			rstBucket: guard.NewTokenBucket(float64(opt.RSTRate), float64(opt.RSTRate)),
 			txq:       make(chan uio.Msg, 4*opt.Batch*len(srv.shards)),
@@ -357,16 +360,6 @@ func (srv *Server) closeWheels() {
 			sh.wh.Close()
 		}
 	}
-}
-
-// rxBufSize sizes the pooled receive buffers: at least one MSS-sized
-// payload plus headroom for headers, attribute blocks and EACK extents.
-func rxBufSize(cfg core.Config) int {
-	n := cfg.MSS + 1024
-	if n < 4096 {
-		n = 4096
-	}
-	return n
 }
 
 // Accept blocks until a new connection's handshake has begun, the timeout

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,7 +35,7 @@ type shard struct {
 
 	mu     sync.RWMutex
 	byID   map[uint32]*udpwire.Conn
-	byAddr map[string]uint32 // source address -> ConnID, for SYN-time collision checks
+	byAddr map[netip.AddrPort]uint32 // canonical source address -> ConnID, for SYN-time collision checks
 
 	// gates holds the anti-amplification gate of every connection admitted
 	// without a validated cookie; route credits it per datagram and removes
@@ -45,6 +46,8 @@ type shard struct {
 	// the engine into a reflector; suppressed refusals are still counted.
 	rstBucket *guard.TokenBucket
 
+	// txq carries datagrams to the transmit loop. Every buffer on it was
+	// drawn from srv.txPool; txLoop returns it once sent or dropped.
 	txq chan uio.Msg
 
 	rxPackets atomic.Uint64
@@ -115,12 +118,11 @@ func (sh *shard) readLoop(rb *uio.RxBatcher) {
 	}
 }
 
-// route applies the demux rules to one inbound packet on its home shard.
+// route applies the demux rules to one inbound packet from src (a
+// canonical address, see uio.Canonical) on its home shard.
 //
 //iqlint:borrow
-func (sh *shard) route(p *packet.Packet, raddr *net.UDPAddr) {
-	key := raddr.String()
-
+func (sh *shard) route(p *packet.Packet, src netip.AddrPort) {
 	sh.mu.RLock()
 	c := sh.byID[p.ConnID]
 	g := sh.gates[p.ConnID]
@@ -141,16 +143,15 @@ func (sh *shard) route(p *packet.Packet, raddr *net.UDPAddr) {
 	}
 
 	if c != nil {
-		if p.Type == packet.SYN && c.RemoteAddr().String() != key {
+		old, migrated, collided := c.HandleFrom(p, src)
+		switch {
+		case collided:
 			// Another host picked an in-use ConnID: refuse the newcomer
 			// rather than hijack the established connection.
-			sh.refuse(p, raddr)
-			return
+			sh.refuse(p, src)
+		case migrated:
+			sh.migrated(p.ConnID, old, src)
 		}
-		if p.Type != packet.SYN && c.RemoteAddr().String() != key {
-			sh.migrate(c, raddr)
-		}
-		c.HandleIncoming(p)
 		return
 	}
 
@@ -158,20 +159,17 @@ func (sh *shard) route(p *packet.Packet, raddr *net.UDPAddr) {
 		sh.srv.stray.Add(1)
 		return
 	}
-	sh.acceptSyn(p, raddr, key)
+	sh.acceptSyn(p, src)
 }
 
-// migrate rebinds an established connection to a new peer address (NAT
-// rebind / source-port change) and reaps the stale address entry.
-func (sh *shard) migrate(c *udpwire.Conn, raddr *net.UDPAddr) {
-	old := c.SetPeer(raddr)
+// migrated re-keys the address table after connection id moved from old to
+// src (NAT rebind / source-port change): the stale entry is reaped.
+func (sh *shard) migrated(id uint32, old, src netip.AddrPort) {
 	sh.mu.Lock()
-	if old != nil {
-		if id, ok := sh.byAddr[old.String()]; ok && id == c.ID() {
-			delete(sh.byAddr, old.String())
-		}
+	if cur, ok := sh.byAddr[old]; ok && cur == id {
+		delete(sh.byAddr, old)
 	}
-	sh.byAddr[raddr.String()] = c.ID()
+	sh.byAddr[src] = id
 	sh.mu.Unlock()
 	sh.srv.migrations.Add(1)
 }
@@ -182,14 +180,16 @@ func (sh *shard) migrate(c *udpwire.Conn, raddr *net.UDPAddr) {
 // yet), validated zombie eviction, backpressure and the drain gate.
 //
 //iqlint:borrow
-func (sh *shard) acceptSyn(p *packet.Packet, raddr *net.UDPAddr, key string) {
+func (sh *shard) acceptSyn(p *packet.Packet, src netip.AddrPort) {
 	srv := sh.srv
 	if srv.draining() {
-		sh.refuse(p, raddr)
+		sh.refuse(p, src)
 		return
 	}
 
 	now := time.Now()
+	// The guard toolkit speaks net types; only SYNs pay for the conversion.
+	raddr := net.UDPAddrFromAddrPort(src)
 
 	// Peel the optional cookie block off the SYN payload and verify it
 	// against the rotating secret. A cookie binds (source address, proposed
@@ -225,7 +225,7 @@ func (sh *shard) acceptSyn(p *packet.Packet, raddr *net.UDPAddr, key string) {
 	if prevID, ok := packet.ParseResumeToken(rest); ok && prevID != p.ConnID {
 		if !cookieOK {
 			srv.evictDenied.Add(1)
-			sh.sendRetry(p, raddr, trace.ReasonEvictDenied)
+			sh.sendRetry(p, src, raddr, trace.ReasonEvictDenied)
 			return
 		}
 		home := srv.homeShard(prevID)
@@ -253,14 +253,14 @@ func (sh *shard) acceptSyn(p *packet.Packet, raddr *net.UDPAddr, key string) {
 		if cookie != nil {
 			reason = trace.ReasonBadCookie
 		}
-		sh.sendRetry(p, raddr, reason)
+		sh.sendRetry(p, src, raddr, reason)
 		return
 	}
 
 	// Deepest brownout: the ledger says memory is nearly gone, so stop
 	// admitting entirely until established connections release buffers.
 	if srv.gov.Level() >= 3 {
-		sh.refuse(p, raddr)
+		sh.refuse(p, src)
 		return
 	}
 
@@ -271,16 +271,16 @@ func (sh *shard) acceptSyn(p *packet.Packet, raddr *net.UDPAddr, key string) {
 	// forged SYN. Evict abortively (no FIN: the address now belongs to the
 	// new connection) before admitting the successor.
 	sh.mu.Lock()
-	if oldID, ok := sh.byAddr[key]; ok && oldID != p.ConnID {
+	if oldID, ok := sh.byAddr[src]; ok && oldID != p.ConnID {
 		if !cookieOK {
 			sh.mu.Unlock()
 			srv.evictDenied.Add(1)
-			sh.sendRetry(p, raddr, trace.ReasonEvictDenied)
+			sh.sendRetry(p, src, raddr, trace.ReasonEvictDenied)
 			return
 		}
 		if zombie := sh.byID[oldID]; zombie != nil {
 			delete(sh.byID, oldID)
-			delete(sh.byAddr, key)
+			delete(sh.byAddr, src)
 			sh.mu.Unlock()
 			zombie.Abort()
 			sh.mu.Lock()
@@ -289,7 +289,7 @@ func (sh *shard) acceptSyn(p *packet.Packet, raddr *net.UDPAddr, key string) {
 	if _, ok := sh.byID[p.ConnID]; ok {
 		// Raced with another packet admitting the same ConnID.
 		sh.mu.Unlock()
-		sh.route(p, raddr)
+		sh.route(p, src)
 		return
 	}
 
@@ -304,13 +304,13 @@ func (sh *shard) acceptSyn(p *packet.Packet, raddr *net.UDPAddr, key string) {
 		g.credit(p.WireSize())
 		send = sh.gatedSendTo(g, p.ConnID)
 	}
-	c := udpwire.NewAcceptedOn(sh.wh, srv.connConfig(), io.sock.LocalAddr(), raddr,
-		send, sh.detach)
+	c := udpwire.NewAcceptedOn(sh.wh, srv.connConfig(), io.sock.LocalAddr(), src,
+		srv.txPool, send, sh.detach)
 	if g != nil {
 		g.conn.Store(c)
 	}
 	sh.byID[p.ConnID] = c
-	sh.byAddr[key] = p.ConnID
+	sh.byAddr[src] = p.ConnID
 	if g != nil {
 		sh.gates[p.ConnID] = g
 	}
@@ -320,7 +320,7 @@ func (sh *shard) acceptSyn(p *packet.Packet, raddr *net.UDPAddr, key string) {
 	case sh.srv.accept <- c:
 		srv.accepted.Add(1)
 		srv.ledger.Add(guard.ClassConn, connOverhead)
-		c.HandleIncoming(p)
+		c.HandleFrom(p, src)
 	default:
 		// Accept queue full: refuse with RST so the client fails fast
 		// instead of retrying into a black hole.
@@ -328,22 +328,22 @@ func (sh *shard) acceptSyn(p *packet.Packet, raddr *net.UDPAddr, key string) {
 		if cur, ok := sh.byID[p.ConnID]; ok && cur == c {
 			delete(sh.byID, p.ConnID)
 		}
-		if id, ok := sh.byAddr[key]; ok && id == p.ConnID {
-			delete(sh.byAddr, key)
+		if id, ok := sh.byAddr[src]; ok && id == p.ConnID {
+			delete(sh.byAddr, src)
 		}
 		if cur, ok := sh.gates[p.ConnID]; ok && cur == g {
 			delete(sh.gates, p.ConnID)
 		}
 		sh.mu.Unlock()
 		c.Abort()
-		sh.refuse(p, raddr)
+		sh.refuse(p, src)
 	}
 }
 
-// refuse sends an RST answering packet p to raddr and counts the refusal.
+// refuse sends an RST answering packet p to dst and counts the refusal.
 //
 //iqlint:borrow
-func (sh *shard) refuse(p *packet.Packet, raddr *net.UDPAddr) {
+func (sh *shard) refuse(p *packet.Packet, dst netip.AddrPort) {
 	sh.srv.refused.Add(1)
 	if sh.rstBucket != nil && !sh.rstBucket.Allow(time.Now()) {
 		// RST emission is rate-capped per shard so a spoofed flood cannot
@@ -352,17 +352,14 @@ func (sh *shard) refuse(p *packet.Packet, raddr *net.UDPAddr) {
 		sh.srv.rstSuppressed.Add(1)
 		return
 	}
-	rst := &packet.Packet{
+	// Best effort: a dropped RST just means the client times out instead
+	// of failing fast, and the refusal itself is already counted.
+	_ = sh.io.encodeTx(&packet.Packet{
 		Type:   packet.RST,
 		ConnID: p.ConnID,
 		Seq:    p.Ack,
 		Ack:    p.Seq + 1,
-	}
-	if b, err := packet.Encode(rst); err == nil {
-		// Best effort: a dropped RST just means the client times out instead
-		// of failing fast, and the refusal itself is already counted.
-		_ = sh.io.enqueueTx(b, raddr)
-	}
+	}, dst)
 }
 
 // detach removes a closed connection from the demux tables and archives
@@ -372,15 +369,13 @@ func (sh *shard) detach(c *udpwire.Conn) {
 	if id == 0 {
 		return
 	}
-	addr := c.RemoteAddr()
+	addr := c.Peer()
 	sh.mu.Lock()
 	if cur, ok := sh.byID[id]; ok && cur == c {
 		delete(sh.byID, id)
 	}
-	if addr != nil {
-		if cur, ok := sh.byAddr[addr.String()]; ok && cur == id {
-			delete(sh.byAddr, addr.String())
-		}
+	if cur, ok := sh.byAddr[addr]; ok && cur == id {
+		delete(sh.byAddr, addr)
 	}
 	if g, ok := sh.gates[id]; ok && g.conn.Load() == c {
 		delete(sh.gates, id)
@@ -390,18 +385,34 @@ func (sh *shard) detach(c *udpwire.Conn) {
 	sh.srv.noteClosed(c)
 }
 
-// enqueueTx queues one outbound datagram for the shard's transmit loop.
-// Non-blocking: the protocol machine retransmits on loss, so under extreme
-// overload dropping here is safer than stalling every connection behind a
-// full queue.
-func (sh *shard) enqueueTx(b []byte, peer *net.UDPAddr) error {
+// enqueueTx queues one outbound datagram for the shard's transmit loop. It
+// is the engine's udpwire.SendFunc: b must come from srv.txPool, and
+// ownership passes here on every return — txLoop puts b back after the
+// send, and a full queue puts it back at once. Non-blocking: the protocol
+// machine retransmits on loss, so under extreme overload dropping here is
+// safer than stalling every connection behind a full queue.
+//
+//iqlint:owns
+func (sh *shard) enqueueTx(b []byte, peer netip.AddrPort) error {
 	select {
 	case sh.txq <- uio.Msg{B: b, Addr: peer}:
 		return nil
 	default:
+		sh.srv.txPool.Put(b)
 		sh.txDrops.Add(1)
 		return errTxBacklog
 	}
+}
+
+// encodeTx encodes an engine-built packet (RETRY, RST) into a pooled
+// buffer and queues it for dst.
+func (sh *shard) encodeTx(p *packet.Packet, dst netip.AddrPort) error {
+	b := sh.srv.txPool.Get()
+	b, err := packet.AppendEncode(b[:0], p)
+	if err != nil {
+		return err // structurally impossible for engine-built packets
+	}
+	return sh.enqueueTx(b, dst)
 }
 
 // errTxBacklog reports a datagram dropped because the shard's transmit queue
@@ -441,6 +452,11 @@ func (sh *shard) txLoop(tb *uio.TxBatcher) {
 		sh.txBytes.Add(bytes)
 		if sent < len(batch) {
 			sh.txDrops.Add(uint64(len(batch) - sent))
+		}
+		// Sent or not, every buffer's life ends here.
+		for i := range batch {
+			sh.srv.txPool.Put(batch[i].B)
+			batch[i] = uio.Msg{}
 		}
 		if err != nil && sockClosed(err) {
 			return

@@ -15,7 +15,7 @@
 //
 // Three sinks ship with the package:
 //
-//   - Ring: a lock-free fixed-size ring buffer for always-on flight
+//   - Ring: a fixed-size by-value ring buffer for always-on flight
 //     recording and post-mortem dumps;
 //   - JSONL: a qlog-inspired one-object-per-line JSON writer for offline
 //     analysis (cmd/iqstat reads this format);

@@ -71,6 +71,17 @@ func TestRingConcurrent(t *testing.T) {
 	}
 }
 
+// TestRingTraceAllocFree pins the flight ring's budget: events are copied
+// by value into the preallocated slots, so a warm ring — reached through
+// the Tracer interface, as the machine calls it — allocates nothing.
+func TestRingTraceAllocFree(t *testing.T) {
+	var tr Tracer = NewRing(64)
+	e := Event{Type: PacketSent, ConnID: 1, Seq: 1, Size: 1400, Reason: ReasonEack}
+	if avg := testing.AllocsPerRun(1000, func() { tr.Trace(e) }); avg != 0 {
+		t.Fatalf("Ring.Trace allocates %.2f per event, want 0", avg)
+	}
+}
+
 func TestCountersAggregates(t *testing.T) {
 	c := NewCounters()
 	c.Trace(Event{Type: PacketSent, Size: 100})

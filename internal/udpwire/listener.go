@@ -2,11 +2,13 @@ package udpwire
 
 import (
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
 	"github.com/cercs/iqrudp/internal/core"
 	"github.com/cercs/iqrudp/internal/packet"
+	"github.com/cercs/iqrudp/internal/uio"
 )
 
 // Listener accepts IQ-RUDP connections on one UDP socket, demultiplexing by
@@ -17,9 +19,10 @@ import (
 type Listener struct {
 	sock *net.UDPConn
 	cfg  core.Config
+	tx   *uio.BufPool // accepted connections' encode buffers
 
 	mu     sync.Mutex
-	conns  map[string]*Conn
+	conns  map[netip.AddrPort]*Conn
 	accept chan *Conn
 	closed chan struct{}
 	once   sync.Once
@@ -40,7 +43,8 @@ func Listen(laddr string, cfg core.Config) (*Listener, error) {
 	ln := &Listener{
 		sock:   sock,
 		cfg:    cfg,
-		conns:  make(map[string]*Conn),
+		tx:     uio.NewBufPool(BufSize(cfg)),
+		conns:  make(map[netip.AddrPort]*Conn),
 		accept: make(chan *Conn, 16),
 		closed: make(chan struct{}),
 	}
@@ -52,7 +56,7 @@ func (ln *Listener) readLoop() {
 	buf := make([]byte, 65536)
 	var p packet.Packet // recycled: connections only borrow it per packet
 	for {
-		n, raddr, err := ln.sock.ReadFromUDP(buf)
+		n, raddr, err := ln.sock.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			ln.Close()
 			return
@@ -60,16 +64,17 @@ func (ln *Listener) readLoop() {
 		if err := packet.DecodeInto(&p, buf[:n], p.Payload); err != nil {
 			continue
 		}
-		c := ln.connFor(raddr, &p)
-		if c != nil {
-			c.handlePacket(&p)
+		key := uio.Canonical(raddr)
+		if c := ln.connFor(key, &p); c != nil {
+			// The table is keyed on the peer each conn was built with, so
+			// HandleFrom always takes its plain handle branch here.
+			c.HandleFrom(&p, key)
 		}
 	}
 }
 
 // connFor finds or (on SYN) creates the connection for a remote address.
-func (ln *Listener) connFor(raddr *net.UDPAddr, p *packet.Packet) *Conn {
-	key := raddr.String()
+func (ln *Listener) connFor(key netip.AddrPort, p *packet.Packet) *Conn {
 	ln.mu.Lock()
 	if c, ok := ln.conns[key]; ok {
 		ln.mu.Unlock()
@@ -79,9 +84,10 @@ func (ln *Listener) connFor(raddr *net.UDPAddr, p *packet.Packet) *Conn {
 		ln.mu.Unlock()
 		return nil // stray non-SYN from an unknown peer
 	}
-	c := NewAccepted(ln.cfg, ln.sock.LocalAddr(), raddr,
-		func(b []byte, peer *net.UDPAddr) error {
-			_, err := ln.sock.WriteToUDP(b, peer)
+	c := NewAccepted(ln.cfg, ln.sock.LocalAddr(), key, ln.tx,
+		func(b []byte, peer netip.AddrPort) error {
+			_, err := ln.sock.WriteToUDPAddrPort(b, peer)
+			ln.tx.Put(b)
 			return err
 		},
 		ln.forget)
@@ -107,13 +113,10 @@ func (ln *Listener) connFor(raddr *net.UDPAddr, p *packet.Packet) *Conn {
 
 // forget removes a closed connection from the demux table.
 func (ln *Listener) forget(c *Conn) {
-	addr := c.RemoteAddr()
-	if addr == nil {
-		return
-	}
+	addr := c.Peer()
 	ln.mu.Lock()
-	if cur, ok := ln.conns[addr.String()]; ok && cur == c {
-		delete(ln.conns, addr.String())
+	if cur, ok := ln.conns[addr]; ok && cur == c {
+		delete(ln.conns, addr)
 	}
 	ln.mu.Unlock()
 }

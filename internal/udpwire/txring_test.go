@@ -50,7 +50,7 @@ func TestTxErrorCounted(t *testing.T) {
 	counters := trace.NewCounters()
 	cfg := core.DefaultConfig()
 	cfg.Tracer = counters
-	c := newConn(cfg, sock, peer.LocalAddr().(*net.UDPAddr), nil)
+	c := newConn(cfg, sock, peer.LocalAddr().(*net.UDPAddr).AddrPort(), nil)
 	c.ownSocket = true
 	tb, err := uio.NewTxBatcher(sock, txRingSize)
 	if err != nil {

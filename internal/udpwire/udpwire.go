@@ -5,14 +5,16 @@
 // internal/endpoint) is the reproducible one.
 //
 // Concurrency model: one mutex serialises every machine interaction (reader,
-// timers, application sends). Deliveries and threshold callbacks are staged
-// while the lock is held and dispatched after it is released, so application
-// code may freely call back into the connection.
+// timers, application sends). Deliveries are pushed onto the buffered
+// delivery queue without blocking while the lock is held (a full queue
+// drops and counts the message), so application code may freely call back
+// into the connection.
 package udpwire
 
 import (
 	"math/rand/v2"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -33,19 +35,19 @@ type Conn struct {
 	mu    sync.Mutex
 	m     *core.Machine
 	sock  *net.UDPConn
-	peer  *net.UDPAddr
+	peer  netip.AddrPort // canonical (see uio.Canonical); zero until known
 	epoch time.Time
 
-	ownSocket   bool                                    // Close closes the socket (dialed conns)
-	dialAddr    string                                  // dialed conns: the dial target, for Resume
-	dialCfg     core.Config                             // dialed conns: the dial config, for Resume
-	resumedFrom uint32                                  // predecessor ConnID when this conn was resumed
-	local       net.Addr                                // accepted conns: the shared socket's address
-	sendTo      func(b []byte, peer *net.UDPAddr) error // accepted conns: shared-socket writer
-	onDetach    func(c *Conn)                           // accepted conns: demux-table removal
+	ownSocket   bool          // Close closes the socket (dialed conns)
+	dialAddr    string        // dialed conns: the dial target, for Resume
+	dialCfg     core.Config   // dialed conns: the dial config, for Resume
+	resumedFrom uint32        // predecessor ConnID when this conn was resumed
+	local       net.Addr      // accepted conns: the shared socket's address
+	txPool      *uio.BufPool  // accepted conns: Emit's encode buffers
+	sendTo      SendFunc      // accepted conns: shared-socket writer
+	onDetach    func(c *Conn) // accepted conns: demux-table removal
 	detachOnce  sync.Once
 
-	pendingMsgs []core.Message
 	msgs        chan core.Message
 	established chan struct{}
 	estOnce     sync.Once
@@ -85,6 +87,26 @@ const txRingSize = 32
 // ack burst for a window of data in one syscall.
 const rxBatch = 16
 
+// BufSize sizes a datagram buffer for connections configured by cfg: one
+// MSS-sized payload plus headroom for headers, attribute blocks and EACK
+// extents. Dialed receive rings, the serve engine's receive pool and every
+// accepted connection's transmit pool use it, so both ends of a connection
+// running comparable MSS configurations never truncate each other.
+func BufSize(cfg core.Config) int {
+	return max(cfg.MSS+1024, 4096)
+}
+
+// SendFunc transmits one encoded datagram to peer for an acceptor that
+// demultiplexes a shared socket. b comes from the connection's transmit
+// pool and the SendFunc takes ownership of it on every return: it puts b
+// back into that pool once b has been written, dropped or refused. A
+// non-nil error is counted into the machine's TxErrors metric and traced as
+// tx_error, so a dead shared socket or saturated transmit queue is never
+// silent.
+//
+//iqlint:owns
+type SendFunc func(b []byte, peer netip.AddrPort) error
+
 // env adapts the socket world to core.Env. All methods are invoked with
 // c.mu held.
 type env struct{ c *Conn }
@@ -93,31 +115,22 @@ func (e env) Now() time.Duration { return time.Since(e.c.epoch) }
 
 func (e env) Emit(p *packet.Packet) {
 	c := e.c
-	if c.peer == nil {
+	if c.sendTo == nil {
+		c.stageTx(p) // dialed: the connected socket's TX ring
+		return
+	}
+	if !c.peer.IsValid() {
 		return // passive side before the first SYN: nothing to address
 	}
-	if c.sendTo != nil {
-		// Shared-socket acceptor path: the writer retains the buffer (the
-		// serve engine queues it for its transmit loop), so it must own a
-		// fresh allocation.
-		b, err := packet.Encode(p)
-		if err != nil {
-			return // structurally impossible for machine-built packets
-		}
-		if err := c.sendTo(b, c.peer); err != nil {
-			c.m.NoteTxError(1, err)
-		}
-		return
-	}
-	if c.txb != nil {
-		c.stageTx(p)
-		return
-	}
-	b, err := packet.Encode(p)
+	// Shared-socket acceptor path: the writer retains the buffer (the serve
+	// engine queues it for its transmit loop), so encode into a pooled
+	// buffer whose ownership passes to sendTo (see SendFunc).
+	b := c.txPool.Get()
+	b, err := packet.AppendEncode(b[:0], p)
 	if err != nil {
-		return
+		return // structurally impossible for machine-built packets
 	}
-	if _, err := c.sock.Write(b); err != nil {
+	if err := c.sendTo(b, c.peer); err != nil {
 		c.m.NoteTxError(1, err)
 	}
 }
@@ -169,39 +182,23 @@ func (c *Conn) flushTxLocked() {
 	}
 }
 
+// Deliver pushes msg onto the delivery queue. Called with mu held; the push
+// never blocks, so the lock section stays bounded.
 func (e env) Deliver(msg core.Message) {
-	e.c.pendingMsgs = append(e.c.pendingMsgs, msg)
-}
-
-// takeDeliveries drains the staged deliveries; called with mu held.
-func (c *Conn) takeDeliveries() []core.Message {
-	out := c.pendingMsgs
-	c.pendingMsgs = nil
-	return out
-}
-
-// dispatch pushes deliveries to the receive queue without holding the lock.
-func (c *Conn) dispatch(msgs []core.Message) {
-	for _, msg := range msgs {
-		select {
-		case c.msgs <- msg:
-		case <-c.closed:
-			return
-		default:
-			// Queue full: drop-newest keeps the connection live; the
-			// transport's own reliability already ran its course, so this is
-			// an application-side overrun, counted for visibility.
-			c.mu.Lock()
-			c.dropped++
-			c.mu.Unlock()
-		}
+	select {
+	case e.c.msgs <- msg:
+	default:
+		// Queue full: drop-newest keeps the connection live; the transport's
+		// own reliability already ran its course, so this is an
+		// application-side overrun, counted for visibility.
+		e.c.dropped++
 	}
 }
 
 // newConn wires a connection around an existing machine-less state. A nil
 // wh selects the process-wide default wheel (dialed connections and the
 // plain Listener); the serve engine passes its shard's wheel.
-func newConn(cfg core.Config, sock *net.UDPConn, peer *net.UDPAddr, wh *wheel.Wheel) *Conn {
+func newConn(cfg core.Config, sock *net.UDPConn, peer netip.AddrPort, wh *wheel.Wheel) *Conn {
 	if wh == nil {
 		wh = DefaultWheel()
 	}
@@ -222,24 +219,25 @@ func newConn(cfg core.Config, sock *net.UDPConn, peer *net.UDPAddr, wh *wheel.Wh
 
 // NewAccepted builds the passive side of a connection for an acceptor that
 // demultiplexes a shared socket (the Listener in this package, or the serve
-// engine's shards): local is the shared socket's bound address, sendTo
-// transmits an encoded packet to a peer (a non-nil error is counted into the
-// machine's TxErrors metric and traced as tx_error, so a dead shared socket
-// or saturated transmit queue is never silent), and onDetach (optional) is
-// invoked once when the connection closes so the acceptor can drop it from
-// its demux tables. The returned connection is passively open: feed it the
-// peer's SYN (and everything after) via HandleIncoming.
-func NewAccepted(cfg core.Config, local net.Addr, peer *net.UDPAddr, sendTo func(b []byte, peer *net.UDPAddr) error, onDetach func(c *Conn)) *Conn {
-	return NewAcceptedOn(nil, cfg, local, peer, sendTo, onDetach)
+// engine's shards): local is the shared socket's bound address, peer the
+// canonical source address (uio.Canonical), txPool the pool Emit draws its
+// encode buffers from (BufSize(cfg) sized), sendTo the writer taking each
+// encoded buffer (see SendFunc), and onDetach (optional) is invoked once
+// when the connection closes so the acceptor can drop it from its demux
+// tables. The returned connection is passively open: feed it the peer's SYN
+// (and everything after) via HandleFrom.
+func NewAccepted(cfg core.Config, local net.Addr, peer netip.AddrPort, txPool *uio.BufPool, sendTo SendFunc, onDetach func(c *Conn)) *Conn {
+	return NewAcceptedOn(nil, cfg, local, peer, txPool, sendTo, onDetach)
 }
 
 // NewAcceptedOn is NewAccepted with an explicit timing wheel driving the
 // connection's machine timers: the serve engine passes its shard's wheel so
 // timer dispatch stays shard-local. A nil wheel selects the process-wide
 // default.
-func NewAcceptedOn(wh *wheel.Wheel, cfg core.Config, local net.Addr, peer *net.UDPAddr, sendTo func(b []byte, peer *net.UDPAddr) error, onDetach func(c *Conn)) *Conn {
+func NewAcceptedOn(wh *wheel.Wheel, cfg core.Config, local net.Addr, peer netip.AddrPort, txPool *uio.BufPool, sendTo SendFunc, onDetach func(c *Conn)) *Conn {
 	c := newConn(cfg, nil, peer, wh)
 	c.local = local
+	c.txPool = txPool
 	c.sendTo = sendTo
 	c.onDetach = onDetach
 	c.mu.Lock()
@@ -269,23 +267,22 @@ func Dial(raddr string, cfg core.Config, timeout time.Duration) (*Conn, error) {
 			cfg.ConnID = rand.Uint32()
 		}
 	}
-	c := newConn(cfg, sock, ua, nil)
+	tb, err := uio.NewTxBatcher(sock, txRingSize)
+	if err != nil {
+		sock.Close()
+		return nil, err
+	}
+	rb, err := uio.NewConnectedRxBatcher(sock, uio.NewBufPool(BufSize(cfg)), rxBatch)
+	if err != nil {
+		sock.Close()
+		return nil, err
+	}
+	c := newConn(cfg, sock, uio.Canonical(ua.AddrPort()), nil)
 	c.ownSocket = true
 	c.dialAddr = raddr
 	c.dialCfg = cfg
-	if tb, err := uio.NewTxBatcher(sock, txRingSize); err == nil {
-		c.txb = tb
-	}
-	// Receive buffers mirror the serve engine's sizing: one MSS-sized payload
-	// plus header/attribute headroom. Both ends of an IQ-RUDP connection are
-	// expected to run comparable MSS configurations.
-	rxLen := cfg.MSS + 1024
-	if rxLen < 4096 {
-		rxLen = 4096
-	}
-	if rb, err := uio.NewConnectedRxBatcher(sock, uio.NewBufPool(rxLen), rxBatch); err == nil {
-		c.rxb = rb
-	}
+	c.txb = tb
+	c.rxb = rb
 	go c.readLoop()
 	c.mu.Lock()
 	c.m.StartClient()
@@ -318,10 +315,6 @@ func Dial(raddr string, cfg core.Config, timeout time.Duration) (*Conn, error) {
 // machine only borrows it for the duration of HandlePacket, so the loop runs
 // allocation-free in steady state.
 func (c *Conn) readLoop() {
-	if c.rxb == nil {
-		c.readLoopSimple()
-		return
-	}
 	var p packet.Packet
 	for {
 		msgs, err := c.rxb.Recv()
@@ -361,36 +354,43 @@ func (c *Conn) handleBatch(msgs []uio.Msg, p *packet.Packet) {
 		c.m.HandlePacket(p)
 	}
 	c.flushTxLocked()
-	out := c.takeDeliveries()
 	c.mu.Unlock()
-	c.dispatch(out)
 }
 
-// readLoopSimple is the one-datagram-per-read fallback used when the batched
-// receiver could not be built over the socket.
-func (c *Conn) readLoopSimple() {
-	buf := make([]byte, 65536)
-	var p packet.Packet
-	for {
-		n, err := c.sock.Read(buf)
-		if err != nil {
-			c.abortWith(trace.ReasonSockErr)
-			return
-		}
-		if err := packet.DecodeInto(&p, buf[:n], p.Payload); err != nil {
-			continue // corrupt or foreign datagram
-		}
-		if id := c.ID(); id != 0 && p.ConnID != 0 && p.ConnID != id {
-			continue
-		}
-		c.handlePacket(&p)
+// HandleFrom feeds one decoded packet, which arrived from src (a canonical
+// address), into the connection; acceptors demultiplexing a shared socket
+// call it from their read loops. Safe for concurrent use (the connection
+// lock serialises the machine). It applies the ConnID-demux peer rules in
+// the same lock section that feeds the machine:
+//
+//   - from the current peer: the packet is handled;
+//   - a SYN from another address is a ConnID collision: the packet is not
+//     handled and collided is true, so the acceptor can refuse it;
+//   - any other packet from another address migrates the connection first
+//     (NAT rebind / source-port change): migrated is true and old is the
+//     previous peer, so the acceptor can re-key its address table.
+//
+//iqlint:borrow
+func (c *Conn) HandleFrom(p *packet.Packet, src netip.AddrPort) (old netip.AddrPort, migrated, collided bool) {
+	c.mu.Lock()
+	select {
+	case <-c.closed:
+		c.mu.Unlock()
+		return old, false, false
+	default:
 	}
+	if src != c.peer {
+		if p.Type == packet.SYN {
+			c.mu.Unlock()
+			return old, false, true
+		}
+		old, c.peer, migrated = c.peer, src, true
+	}
+	c.m.HandlePacket(p)
+	c.flushTxLocked()
+	c.mu.Unlock()
+	return old, migrated, false
 }
-
-// HandleIncoming feeds one decoded packet into the connection; acceptors
-// demultiplexing a shared socket call it from their read loops. Safe for
-// concurrent use (the connection lock serialises the machine).
-func (c *Conn) HandleIncoming(p *packet.Packet) { c.handlePacket(p) }
 
 // ID returns the wire connection ID (zero on the passive side until the
 // initiator's SYN has been handled).
@@ -398,36 +398,6 @@ func (c *Conn) ID() uint32 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.m.ConnID()
-}
-
-// SetPeer rebinds the connection to a migrated peer address (same ConnID
-// seen from a new source address) and returns the previous address.
-// Subsequent transmissions go to the new address.
-func (c *Conn) SetPeer(addr *net.UDPAddr) *net.UDPAddr {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	old := c.peer
-	c.peer = addr
-	return old
-}
-
-// handlePacket feeds one packet through the machine and dispatches staged
-// deliveries.
-//
-//iqlint:borrow
-func (c *Conn) handlePacket(p *packet.Packet) {
-	c.mu.Lock()
-	select {
-	case <-c.closed:
-		c.mu.Unlock()
-		return
-	default:
-	}
-	c.m.HandlePacket(p)
-	c.flushTxLocked()
-	out := c.takeDeliveries()
-	c.mu.Unlock()
-	c.dispatch(out)
 }
 
 // Send transmits one message (marked = must-deliver).
@@ -551,7 +521,7 @@ func (c *Conn) FlightRecord() *core.FlightRecord {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rec := c.m.FlightRecord()
-	if rec != nil && rec.Peer == "" && c.peer != nil {
+	if rec != nil && rec.Peer == "" && c.peer.IsValid() {
 		rec.Peer = c.peer.String()
 	}
 	return rec
@@ -588,8 +558,20 @@ func (c *Conn) LocalAddr() net.Addr {
 	return c.sock.LocalAddr()
 }
 
-// RemoteAddr returns the peer address (the current one, after migration).
+// RemoteAddr returns the peer address (the current one, after migration),
+// or nil before it is known. Each call builds a fresh *net.UDPAddr; the
+// demux hot path compares Peer values instead.
 func (c *Conn) RemoteAddr() net.Addr {
+	peer := c.Peer()
+	if !peer.IsValid() {
+		return nil
+	}
+	return net.UDPAddrFromAddrPort(peer)
+}
+
+// Peer returns the canonical peer address (the current one, after
+// migration); zero before it is known.
+func (c *Conn) Peer() netip.AddrPort {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.peer

@@ -1,11 +1,12 @@
 package udpwire
 
 import (
-	"net"
+	"net/netip"
 	"testing"
 	"time"
 
 	"github.com/cercs/iqrudp/internal/core"
+	"github.com/cercs/iqrudp/internal/uio"
 )
 
 // TestWheelTimerRearmAllocFree pins the ISSUE-8 acceptance criterion:
@@ -15,8 +16,8 @@ import (
 // touch the heap.
 func TestWheelTimerRearmAllocFree(t *testing.T) {
 	c := NewAccepted(core.DefaultConfig(), nil,
-		&net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9},
-		func(b []byte, peer *net.UDPAddr) error { return nil }, nil)
+		netip.MustParseAddrPort("127.0.0.1:9"), uio.NewBufPool(4096),
+		func(b []byte, peer netip.AddrPort) error { return nil }, nil)
 	defer c.Abort()
 
 	e := env{c}
@@ -40,8 +41,8 @@ func TestWheelTimerRearmAllocFree(t *testing.T) {
 // re-arm reuses the same handle.
 func TestWheelTimerFireRecycles(t *testing.T) {
 	c := NewAccepted(core.DefaultConfig(), nil,
-		&net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9},
-		func(b []byte, peer *net.UDPAddr) error { return nil }, nil)
+		netip.MustParseAddrPort("127.0.0.1:9"), uio.NewBufPool(4096),
+		func(b []byte, peer netip.AddrPort) error { return nil }, nil)
 	defer c.Abort()
 
 	e := env{c}

@@ -4,6 +4,7 @@ package uio
 
 import (
 	"net"
+	"net/netip"
 	"syscall"
 	"unsafe"
 )
@@ -11,8 +12,11 @@ import (
 // Linux fast path: recvmmsg/sendmmsg move a batch of datagrams per syscall.
 // The raw syscalls are wrapped in the netpoller via syscall.RawConn
 // Read/Write with MSG_DONTWAIT, so blocked readers park in the runtime
-// scheduler rather than in the kernel. Restricted to amd64/arm64 because
-// the mmsghdr layout below (4 bytes of tail padding after msg_len) is the
+// scheduler rather than in the kernel. Each batcher binds its RawConn
+// callback once at construction and passes results through its own fields,
+// so a syscall allocates nothing (a per-call closure capturing its results
+// would cost three heap objects). Restricted to amd64/arm64 because the
+// mmsghdr layout below (4 bytes of tail padding after msg_len) is the
 // 64-bit one.
 
 // mmsghdr mirrors struct mmsghdr: a msghdr plus the per-message byte count
@@ -39,6 +43,11 @@ type RxBatcher struct {
 	ctrls   [][groCtrlSpace]byte // cmsg space, allocated when GRO enables
 	lent    [][]byte             // raw pool buffers on loan to the current batch
 	scratch []Msg
+
+	// recvFn is rb.recvmmsg bound once; it reports through got and serr.
+	recvFn func(fd uintptr) bool
+	got    int
+	serr   error
 }
 
 // NewRxBatcher builds a batcher over sock drawing buffers from pool. The
@@ -48,7 +57,7 @@ func NewRxBatcher(sock *net.UDPConn, pool *BufPool, batch int) (*RxBatcher, erro
 	if err != nil {
 		return nil, err
 	}
-	return &RxBatcher{
+	rb := &RxBatcher{
 		rc:      rc,
 		pool:    pool,
 		hdrs:    make([]mmsghdr, batch),
@@ -57,7 +66,9 @@ func NewRxBatcher(sock *net.UDPConn, pool *BufPool, batch int) (*RxBatcher, erro
 		bufs:    make([][]byte, batch),
 		lent:    make([][]byte, 0, batch),
 		scratch: make([]Msg, 0, batch),
-	}, nil
+	}
+	rb.recvFn = rb.recvmmsg
+	return rb, nil
 }
 
 // EnableGRO asks the kernel to coalesce same-peer datagram runs into one
@@ -83,8 +94,8 @@ func (rb *RxBatcher) EnableGRO() bool {
 func (rb *RxBatcher) GROEnabled() bool { return rb.gro }
 
 // NewConnectedRxBatcher is NewRxBatcher for a connect()ed socket: the kernel
-// already filters to one peer, so received messages carry a nil Addr and the
-// per-datagram sockaddr parse (which allocates a *net.UDPAddr) is skipped.
+// already filters to one peer, so received messages carry a zero Addr and
+// the per-datagram sockaddr parse is skipped.
 func NewConnectedRxBatcher(sock *net.UDPConn, pool *BufPool, batch int) (*RxBatcher, error) {
 	rb, err := NewRxBatcher(sock, pool, batch)
 	if err != nil {
@@ -122,35 +133,17 @@ func (rb *RxBatcher) Recv() ([]Msg, error) {
 		}
 		rb.hdrs[i].n = 0
 	}
-	var n int
-	var serr error
-	err := rb.rc.Read(func(fd uintptr) bool {
-		for {
-			r1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
-				uintptr(unsafe.Pointer(&rb.hdrs[0])), uintptr(len(rb.hdrs)),
-				uintptr(syscall.MSG_DONTWAIT), 0, 0)
-			switch errno {
-			case syscall.EINTR:
-				continue
-			case syscall.EAGAIN:
-				return false
-			case 0:
-				n = int(r1)
-			default:
-				serr = errno
-			}
-			return true
-		}
-	})
-	if err != nil {
+	rb.got, rb.serr = 0, nil
+	if err := rb.rc.Read(rb.recvFn); err != nil {
 		return nil, err
 	}
-	if serr != nil {
-		return nil, serr
+	if rb.serr != nil {
+		return nil, rb.serr
 	}
+	n := rb.got
 	msgs := rb.scratch[:0]
 	for i := 0; i < n; i++ {
-		var addr *net.UDPAddr
+		var addr netip.AddrPort
 		if !rb.noAddr {
 			addr = parseSockaddr(&rb.names[i])
 		}
@@ -180,6 +173,27 @@ func (rb *RxBatcher) Recv() ([]Msg, error) {
 	return msgs, nil
 }
 
+// recvmmsg is the RawConn read callback: one non-blocking recvmmsg over the
+// prepared headers, reporting false (park in the netpoller) on EAGAIN.
+func (rb *RxBatcher) recvmmsg(fd uintptr) bool {
+	for {
+		r1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
+			uintptr(unsafe.Pointer(&rb.hdrs[0])), uintptr(len(rb.hdrs)),
+			uintptr(syscall.MSG_DONTWAIT), 0, 0)
+		switch errno {
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false
+		case 0:
+			rb.got = int(r1)
+		default:
+			rb.serr = errno
+		}
+		return true
+	}
+}
+
 // Release returns the batch's buffers to the pool. The msgs argument is
 // kept for API symmetry with the portable path: this batcher tracks the
 // raw buffers it lent (a GRO split hands out several views of one buffer,
@@ -206,6 +220,13 @@ type TxBatcher struct {
 	names   [][syscall.SizeofSockaddrAny]byte
 	ctrls   [][gsoCtrlSpace]byte
 	runLens []int // msgs behind each built header, for sent-count mapping
+
+	// sendFn is tb.sendmmsg bound once: it sends hdrs[from:to] and reports
+	// through got and serr.
+	sendFn   func(fd uintptr) bool
+	from, to int
+	got      int
+	serr     error
 }
 
 // NewTxBatcher builds a batcher over sock sending up to batch datagrams per
@@ -216,7 +237,7 @@ func NewTxBatcher(sock *net.UDPConn, batch int) (*TxBatcher, error) {
 		return nil, err
 	}
 	la, _ := sock.LocalAddr().(*net.UDPAddr)
-	return &TxBatcher{
+	tb := &TxBatcher{
 		rc:      rc,
 		v6:      la != nil && la.IP.To4() == nil,
 		gso:     probeGSO(rc),
@@ -225,7 +246,9 @@ func NewTxBatcher(sock *net.UDPConn, batch int) (*TxBatcher, error) {
 		names:   make([][syscall.SizeofSockaddrAny]byte, batch),
 		ctrls:   make([][gsoCtrlSpace]byte, batch),
 		runLens: make([]int, batch),
-	}, nil
+	}
+	tb.sendFn = tb.sendmmsg
+	return tb, nil
 }
 
 // GSOEnabled reports whether segmentation offload is active.
@@ -236,7 +259,7 @@ func (tb *TxBatcher) GSOEnabled() bool { return tb.gso }
 func (tb *TxBatcher) SetGSO(on bool) { tb.gso = on }
 
 // Send transmits the batch, returning how many of batch's messages went
-// out. Messages with a nil Addr go to the socket's connected peer (dialed
+// out. Messages with a zero Addr go to the socket's connected peer (dialed
 // sockets).
 func (tb *TxBatcher) Send(batch []Msg) (int, error) {
 	if !tb.gso {
@@ -291,7 +314,7 @@ func (tb *TxBatcher) sendGSO(batch []Msg) (int, error) {
 			for start+runLen < n && runLen < maxGsoSegs {
 				l := len(batch[start+runLen].B)
 				if l == 0 || l > segSize || runBytes+l > maxGsoBytes ||
-					!sameDest(batch[start].Addr, batch[start+runLen].Addr) {
+					batch[start].Addr != batch[start+runLen].Addr {
 					break
 				}
 				runBytes += l
@@ -333,9 +356,9 @@ func (tb *TxBatcher) sendGSO(batch []Msg) (int, error) {
 	return sent, serr
 }
 
-// setDest points header i at addr (nil: the connected peer).
-func (tb *TxBatcher) setDest(i int, addr *net.UDPAddr) {
-	if addr != nil {
+// setDest points header i at addr (zero: the connected peer).
+func (tb *TxBatcher) setDest(i int, addr netip.AddrPort) {
+	if addr.IsValid() {
 		tb.hdrs[i].hdr.Name = &tb.names[i][0]
 		tb.hdrs[i].hdr.Namelen = encodeSockaddr(addr, tb.v6, &tb.names[i])
 	} else {
@@ -349,78 +372,76 @@ func (tb *TxBatcher) setDest(i int, addr *net.UDPAddr) {
 // RawConn error. serr is returned rather than folded so sendGSO can
 // classify offload rejections.
 func (tb *TxBatcher) sendHdrs(from, to int) (int, error, error) {
-	sent := from
-	for sent < to {
-		var got int
-		var serr error
-		err := tb.rc.Write(func(fd uintptr) bool {
-			for {
-				r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-					uintptr(unsafe.Pointer(&tb.hdrs[sent])), uintptr(to-sent),
-					uintptr(syscall.MSG_DONTWAIT), 0, 0)
-				switch errno {
-				case syscall.EINTR:
-					continue
-				case syscall.EAGAIN:
-					return false
-				case 0:
-					got = int(r1)
-				default:
-					serr = errno
-				}
-				return true
-			}
-		})
-		if err != nil {
-			return sent - from, nil, err
+	tb.from = from
+	for tb.from < to {
+		tb.to, tb.got, tb.serr = to, 0, nil
+		if err := tb.rc.Write(tb.sendFn); err != nil {
+			return tb.from - from, nil, err
 		}
-		if serr != nil {
-			return sent - from, serr, nil
+		if tb.serr != nil {
+			return tb.from - from, tb.serr, nil
 		}
-		if got == 0 {
+		if tb.got == 0 {
 			break
 		}
-		sent += got
+		tb.from += tb.got
 	}
-	return sent - from, nil, nil
+	return tb.from - from, nil, nil
 }
 
-// parseSockaddr converts a raw kernel-filled sockaddr to a *net.UDPAddr.
-func parseSockaddr(b *[syscall.SizeofSockaddrAny]byte) *net.UDPAddr {
+// sendmmsg is the RawConn write callback: one non-blocking sendmmsg of
+// hdrs[from:to], reporting false (park in the netpoller) on EAGAIN.
+func (tb *TxBatcher) sendmmsg(fd uintptr) bool {
+	for {
+		r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
+			uintptr(unsafe.Pointer(&tb.hdrs[tb.from])), uintptr(tb.to-tb.from),
+			uintptr(syscall.MSG_DONTWAIT), 0, 0)
+		switch errno {
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false
+		case 0:
+			tb.got = int(r1)
+		default:
+			tb.serr = errno
+		}
+		return true
+	}
+}
+
+// parseSockaddr converts a raw kernel-filled sockaddr to its canonical
+// address (v4-mapped sources on an AF_INET6 socket unmapped to IPv4). An
+// unknown family yields the zero AddrPort.
+func parseSockaddr(b *[syscall.SizeofSockaddrAny]byte) netip.AddrPort {
 	rsa := (*syscall.RawSockaddrAny)(unsafe.Pointer(b))
 	switch rsa.Addr.Family {
 	case syscall.AF_INET:
 		sa := (*syscall.RawSockaddrInet4)(unsafe.Pointer(b))
-		return &net.UDPAddr{
-			IP:   net.IPv4(sa.Addr[0], sa.Addr[1], sa.Addr[2], sa.Addr[3]),
-			Port: ntohs(sa.Port),
-		}
+		return netip.AddrPortFrom(netip.AddrFrom4(sa.Addr), ntohs(sa.Port))
 	case syscall.AF_INET6:
 		sa := (*syscall.RawSockaddrInet6)(unsafe.Pointer(b))
-		ip := make(net.IP, net.IPv6len)
-		copy(ip, sa.Addr[:])
-		return &net.UDPAddr{IP: ip, Port: ntohs(sa.Port)}
+		return netip.AddrPortFrom(netip.AddrFrom16(sa.Addr).Unmap(), ntohs(sa.Port))
 	}
-	return nil
+	return netip.AddrPort{}
 }
 
 // encodeSockaddr fills buf with peer's raw sockaddr and returns its length.
 // On an AF_INET6 socket IPv4 peers are written as v4-mapped v6 addresses,
 // since Linux rejects AF_INET sockaddrs on v6 sockets.
-func encodeSockaddr(peer *net.UDPAddr, v6 bool, buf *[syscall.SizeofSockaddrAny]byte) uint32 {
-	if ip4 := peer.IP.To4(); ip4 != nil && !v6 {
+func encodeSockaddr(peer netip.AddrPort, v6 bool, buf *[syscall.SizeofSockaddrAny]byte) uint32 {
+	ip := peer.Addr().Unmap()
+	if ip.Is4() && !v6 {
 		sa := (*syscall.RawSockaddrInet4)(unsafe.Pointer(buf))
-		*sa = syscall.RawSockaddrInet4{Family: syscall.AF_INET, Port: htons(peer.Port)}
-		copy(sa.Addr[:], ip4)
+		*sa = syscall.RawSockaddrInet4{Family: syscall.AF_INET, Port: htons(peer.Port()), Addr: ip.As4()}
 		return syscall.SizeofSockaddrInet4
 	}
 	sa := (*syscall.RawSockaddrInet6)(unsafe.Pointer(buf))
-	*sa = syscall.RawSockaddrInet6{Family: syscall.AF_INET6, Port: htons(peer.Port)}
-	copy(sa.Addr[:], peer.IP.To16())
+	*sa = syscall.RawSockaddrInet6{Family: syscall.AF_INET6, Port: htons(peer.Port()), Addr: ip.As16()}
 	return syscall.SizeofSockaddrInet6
 }
 
 // ntohs/htons convert the network-byte-order port field (amd64 and arm64
 // are both little-endian).
-func ntohs(p uint16) int { return int(p>>8 | p<<8) }
-func htons(p int) uint16 { u := uint16(p); return u>>8 | u<<8 }
+func ntohs(p uint16) uint16 { return p>>8 | p<<8 }
+func htons(p uint16) uint16 { return p>>8 | p<<8 }

@@ -72,7 +72,7 @@ func TestOffloadRoundTrip(t *testing.T) {
 		t.Error("ProbeOffload reports GRO but EnableGRO failed")
 	}
 
-	dst := rx.LocalAddr().(*net.UDPAddr)
+	dst := rx.LocalAddr().(*net.UDPAddr).AddrPort()
 	var batch []Msg
 	var wantPayloads []string
 	add := func(n int, tag byte) {
@@ -128,8 +128,8 @@ func TestOffloadRoundTrip(t *testing.T) {
 	_ = wantPayloads
 }
 
-// TestOffloadConnected covers the dialed-socket shape: nil-Addr TX msgs to
-// the connected peer and a connected receiver (nil Addr on RX).
+// TestOffloadConnected covers the dialed-socket shape: zero-Addr TX msgs to
+// the connected peer and a connected receiver (zero Addr on RX).
 func TestOffloadConnected(t *testing.T) {
 	a, b := loopbackPair(t)
 	tx, err := net.DialUDP("udp", nil, b.LocalAddr().(*net.UDPAddr))
@@ -161,7 +161,7 @@ func TestOffloadConnected(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		p := make([]byte, 256)
 		p[0] = byte(i)
-		batch = append(batch, Msg{B: p}) // nil Addr: connected peer
+		batch = append(batch, Msg{B: p}) // zero Addr: connected peer
 	}
 	sent := 0
 	for sent < len(batch) {
@@ -199,7 +199,7 @@ func TestGSOFallbackDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := rx.LocalAddr().(*net.UDPAddr)
+	dst := rx.LocalAddr().(*net.UDPAddr).AddrPort()
 	var batch []Msg
 	for i := 0; i < 12; i++ {
 		p := make([]byte, 200)

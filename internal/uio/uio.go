@@ -6,7 +6,7 @@
 package uio
 
 import (
-	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 )
@@ -16,19 +16,29 @@ import (
 // to 64 KiB per recvmmsg slot.
 const GROBufSize = 1 << 16
 
-// Msg is one datagram: a buffer and the peer address. A nil Addr means the
-// socket's connected peer (valid for TX on dialed sockets only; RX always
-// fills Addr).
+// Msg is one datagram: a buffer and the peer address. A zero (invalid)
+// Addr means the socket's connected peer (valid for TX on dialed sockets
+// only; RX on an unconnected socket always fills Addr). Received addresses
+// are canonical (see Canonical), so they compare and hash as map keys.
 type Msg struct {
 	B    []byte
-	Addr *net.UDPAddr
+	Addr netip.AddrPort
 }
 
-// BufPool recycles fixed-size receive buffers across batches and counts
-// freelist traffic. A buffer's lifetime ends when its datagram has been
-// parsed (packet.DecodeInto copies the payload out).
+// Canonical returns ap with a v4-mapped IPv6 address unmapped to plain
+// IPv4, so one peer seen through an AF_INET6 socket and through an AF_INET
+// one yields the same key.
+func Canonical(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+}
+
+// BufPool recycles fixed-size buffers across batches and counts freelist
+// traffic. A receive buffer's lifetime ends when its datagram has been
+// parsed (packet.DecodeInto copies the payload out); a transmit buffer's
+// when the batched writer has sent (or dropped) it.
 type BufPool struct {
-	pool   sync.Pool
+	pool   sync.Pool // *[]byte boxes holding full-size buffers
+	boxes  sync.Pool // emptied *[]byte boxes, so Put need not allocate one
 	size   int
 	gets   atomic.Uint64
 	misses atomic.Uint64
@@ -48,16 +58,25 @@ func NewBufPool(size int) *BufPool {
 // Get returns a full-size buffer.
 func (bp *BufPool) Get() []byte {
 	bp.gets.Add(1)
-	return *(bp.pool.Get().(*[]byte))
+	box := bp.pool.Get().(*[]byte)
+	b := *box
+	*box = nil
+	bp.boxes.Put(box)
+	return b
 }
 
 // Put returns a buffer to the pool. Short slices of a pooled buffer are
 // restored to full size; foreign undersized buffers are dropped.
 func (bp *BufPool) Put(b []byte) {
-	if cap(b) >= bp.size {
-		b = b[:bp.size]
-		bp.pool.Put(&b)
+	if cap(b) < bp.size {
+		return
 	}
+	box, _ := bp.boxes.Get().(*[]byte)
+	if box == nil {
+		box = new([]byte)
+	}
+	*box = b[:bp.size]
+	bp.pool.Put(box)
 }
 
 // Stats reports pool traffic since creation: gets served from a recycled
