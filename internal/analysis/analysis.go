@@ -68,7 +68,20 @@ type Pass struct {
 	Info     *types.Info
 	State    State // the Analyzer.NewState value for this Run, or nil
 
-	report func(Diagnostic)
+	report     func(Diagnostic)
+	dir        string // the package's source directory
+	directives *declDirectives
+}
+
+// DeclHasDirective reports whether the declaration of obj — a function,
+// method or type, in this package or in another package of the module —
+// carries the given //iqlint: directive in its doc comment.
+func (p *Pass) DeclHasDirective(obj types.Object, directive string) bool {
+	var local []*ast.File
+	if obj != nil && obj.Pkg() == p.Pkg {
+		local = p.Files
+	}
+	return p.directives.has(obj, directive, p.dir, local)
 }
 
 // TestFile reports whether pos lies in a _test.go file. The standalone

@@ -1,5 +1,6 @@
-// Package poolcheck tracks pooled acquisitions — packet.Get() and
-// (*uio.BufPool).Get() — through the acquiring function.
+// Package poolcheck tracks pooled acquisitions — packet.Get(),
+// (*uio.BufPool).Get() and the simulator's (*netem.Dumbbell).GetFrame() —
+// through the acquiring function.
 //
 // The freelists only help if every acquire is paired with a release; a
 // leaked packet or receive buffer silently degrades the pool.hit gauges
@@ -18,14 +19,15 @@
 // the value to another function is treated as a borrow (the callee must
 // not retain — that is borrowcheck's jurisdiction), matching the
 // Env.Emit / HandlePacket ownership contract. The exception is a hand-off:
-// a call to a function, or through a value of a func type, whose doc
-// comment in the same package carries //iqlint:owns takes ownership of the
-// acquired value passed to it (directly or resliced). That transfers
-// ownership like a channel send, and any later use of the value is
-// flagged like a use after Put — the new owner may already have returned
-// it to the pool. This is how the serve engine's pooled transmit buffers
-// travel from an accepted connection's Emit to the shard's transmit loop
-// (udpwire.SendFunc, serve's enqueueTx).
+// a call to a function or method, or through a value of a func type, whose
+// doc comment carries //iqlint:owns — in this package or an imported one of
+// the module — takes ownership of the acquired value passed to it (directly
+// or resliced). That transfers ownership like a channel send, and any later
+// use of the value is flagged like a use after Put — the new owner may
+// already have returned it to the pool. This is how the serve engine's
+// pooled transmit buffers travel from an accepted connection's Emit to the
+// shard's transmit loop (udpwire.SendFunc, serve's enqueueTx), and how the
+// simulator endpoint's frames reach the network (netem.Dumbbell.Inject).
 package poolcheck
 
 import (
@@ -39,18 +41,17 @@ import (
 // Analyzer is the poolcheck pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "poolcheck",
-	Doc:  "every packet.Get/BufPool.Get must reach a Put on all paths; no use-after-Put",
+	Doc:  "every packet.Get/BufPool.Get/Dumbbell.GetFrame must reach a Put or an owning hand-off on all paths; no use-after-Put",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
-	owners := ownerDecls(pass)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
 				if fn.Body != nil {
-					checkFunc(pass, fn.Body, owners)
+					checkFunc(pass, fn.Body)
 				}
 				return false // nested closures handled inside checkFunc
 			}
@@ -60,48 +61,15 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// ownerDecls collects the package's //iqlint:owns functions and func types.
-func ownerDecls(pass *analysis.Pass) map[types.Object]bool {
-	owners := map[types.Object]bool{}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				if analysis.HasDirective(d, analysis.OwnsDirective) {
-					owners[pass.Info.Defs[d.Name]] = true
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					doc := ts.Doc
-					if doc == nil && len(d.Specs) == 1 {
-						doc = d.Doc
-					}
-					if analysis.DocHasDirective(doc, analysis.OwnsDirective) {
-						owners[pass.Info.Defs[ts.Name]] = true
-					}
-				}
-			}
-		}
-	}
-	return owners
-}
-
 // owningCall reports whether call hands ownership of its arguments to the
-// callee: the callee is an //iqlint:owns function, or the called value's
-// type is an //iqlint:owns func type.
-func owningCall(pass *analysis.Pass, call *ast.CallExpr, owners map[types.Object]bool) bool {
-	if len(owners) == 0 {
-		return false
-	}
-	if f := pass.Callee(call); f != nil && owners[f] {
+// callee: the callee is an //iqlint:owns function or method, or the called
+// value's type is an //iqlint:owns func type.
+func owningCall(pass *analysis.Pass, call *ast.CallExpr) bool {
+	if f := pass.Callee(call); f != nil && pass.DeclHasDirective(f, analysis.OwnsDirective) {
 		return true
 	}
 	if named, ok := pass.Info.TypeOf(call.Fun).(*types.Named); ok {
-		return owners[named.Obj()]
+		return pass.DeclHasDirective(named.Obj(), analysis.OwnsDirective)
 	}
 	return false
 }
@@ -110,7 +78,7 @@ func owningCall(pass *analysis.Pass, call *ast.CallExpr, owners map[types.Object
 type acquire struct {
 	obj      types.Object
 	pos      token.Pos
-	kind     string // "packet.Get" or "BufPool.Get"
+	kind     string // "packet.Get", "uio.BufPool.Get" or "netem.Dumbbell.GetFrame"
 	released bool
 	escaped  bool
 	puts     []token.Pos // non-deferred Put positions
@@ -125,12 +93,16 @@ func isGet(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	if pass.IsMethod(call, "internal/uio", "BufPool", "Get") {
 		return "uio.BufPool.Get", true
 	}
+	if pass.IsMethod(call, "internal/netem", "Dumbbell", "GetFrame") {
+		return "netem.Dumbbell.GetFrame", true
+	}
 	return "", false
 }
 
 // isPut classifies a call as a pooled release and returns its argument.
 func isPut(pass *analysis.Pass, call *ast.CallExpr) (ast.Expr, bool) {
-	if pass.IsPkgFunc(call, "internal/packet", "Put") || pass.IsMethod(call, "internal/uio", "BufPool", "Put") {
+	if pass.IsPkgFunc(call, "internal/packet", "Put") || pass.IsMethod(call, "internal/uio", "BufPool", "Put") ||
+		pass.IsMethod(call, "internal/netem", "Dumbbell", "PutFrame") {
 		if len(call.Args) == 1 {
 			return call.Args[0], true
 		}
@@ -138,7 +110,7 @@ func isPut(pass *analysis.Pass, call *ast.CallExpr) (ast.Expr, bool) {
 	return nil, false
 }
 
-func checkFunc(pass *analysis.Pass, body *ast.BlockStmt, owners map[types.Object]bool) {
+func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 	// Pass 1: find acquires bound to simple identifiers.
 	acquires := map[types.Object]*acquire{}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -201,7 +173,7 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt, owners map[types.Object
 					}
 					return false // don't treat the Put arg as an escape
 				}
-				if !deferred && owningCall(pass, s, owners) {
+				if !deferred && owningCall(pass, s) {
 					for _, arg := range s.Args {
 						if sl, ok := ast.Unparen(arg).(*ast.SliceExpr); ok {
 							arg = sl.X

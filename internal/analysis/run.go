@@ -22,8 +22,10 @@ import (
 //
 //	//iqlint:owns
 //
-// in the doc comment of a function or of a func type marks calls to it as
-// taking ownership of the pooled buffers passed to them (see poolcheck).
+// in the doc comment of a function, method or func type marks calls to it
+// as taking ownership of the pooled buffers passed to them (see poolcheck),
+// in the declaring package and in every package of the module that calls
+// it (Pass.DeclHasDirective).
 const (
 	ignoreDirective = "iqlint:ignore"
 	// BorrowDirective marks a function whose packet parameters are borrowed.
@@ -120,18 +122,21 @@ func runRaw(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			states[a] = a.NewState()
 		}
 	}
+	directives := newDeclDirectives()
 	for _, pkg := range pkgs {
 		if pkg.Pkg == nil {
 			continue
 		}
 		for _, a := range analyzers {
 			pass := &Pass{
-				Analyzer: a,
-				Fset:     pkg.Fset,
-				Files:    pkg.Files,
-				Pkg:      pkg.Pkg,
-				Info:     pkg.Info,
-				State:    states[a],
+				Analyzer:   a,
+				Fset:       pkg.Fset,
+				Files:      pkg.Files,
+				Pkg:        pkg.Pkg,
+				Info:       pkg.Info,
+				State:      states[a],
+				dir:        pkg.Dir,
+				directives: directives,
 			}
 			pass.report = func(d Diagnostic) { diags = append(diags, d) }
 			if err := a.Run(pass); err != nil {

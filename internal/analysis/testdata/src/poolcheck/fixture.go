@@ -2,6 +2,7 @@
 package fixture
 
 import (
+	"github.com/cercs/iqrudp/internal/netem"
 	"github.com/cercs/iqrudp/internal/packet"
 	"github.com/cercs/iqrudp/internal/uio"
 )
@@ -93,4 +94,31 @@ func useAfterHandoff(pool *uio.BufPool) {
 func borrowIsNotHandoff(pool *uio.BufPool) {
 	b := pool.Get() // want `uio.BufPool.Get result is never released`
 	borrow(b)
+}
+
+// The simulator's frame pool: netem.Dumbbell.Inject is declared
+// //iqlint:owns in another package, so injecting is a hand-off.
+
+func frameInjected(d *netem.Dumbbell, src, dst netem.Addr) {
+	f := d.GetFrame() // ownership moves to the dumbbell
+	f.Src, f.Dst = src, dst
+	f.Payload = append(f.Payload, 'x')
+	d.Inject(f)
+}
+
+func frameReturned(d *netem.Dumbbell) {
+	f := d.GetFrame()
+	defer d.PutFrame(f)
+	f.Size = 100
+}
+
+func frameLeaked(d *netem.Dumbbell) {
+	f := d.GetFrame() // want `netem.Dumbbell.GetFrame result is never released`
+	f.Size = 100
+}
+
+func frameUsedAfterInject(d *netem.Dumbbell) int {
+	f := d.GetFrame()
+	d.Inject(f)
+	return f.Size // want `use of f after its ownership was handed off`
 }

@@ -17,9 +17,8 @@ import (
 // could cancel the wrong one. The machine therefore (a) drops its reference
 // immediately after every Stop, and (b) clears the owning field at the top
 // of every timer callback, before any code that could arm a timer runs.
-// Environments with reusable handles (the udpwire wheel adapter) rely on
-// this; environments that mint a fresh handle per After (the simulator)
-// are trivially compatible.
+// Both environments rely on this: the udpwire wheel adapter and the
+// simulator endpoint (a sim.TimerPool per endpoint) recycle handles.
 type Timer interface {
 	// Stop cancels the timer, reporting whether it was still pending.
 	// False means the timer already fired, was already stopped, or its

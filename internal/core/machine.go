@@ -198,6 +198,9 @@ type Machine struct {
 	// allocating. outEacks is the staged EACK list's backing storage.
 	out      packet.Packet
 	outEacks []uint32
+
+	// lost is provenLost's result storage, reused across acks.
+	lost []*sendPkt
 }
 
 // NewMachine builds a machine over env. Call StartClient or StartServer to

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/cercs/iqrudp/internal/attr"
@@ -291,6 +291,9 @@ func (r *reassembler) reset() {
 	r.got, r.skipped, r.fragCnt = 0, 0, 0
 }
 
+// cmpSeq orders sequence numbers in circular (serial-number) order.
+func cmpSeq(a, b uint32) int { return int(int32(a - b)) }
+
 // appendSortedEacks appends the out-of-order buffer's sequence numbers to
 // dst in ascending circular order (deterministic wire content), capped at
 // limit. dst's backing array is reused across acks; with an empty buffer —
@@ -304,7 +307,7 @@ func (m *Machine) appendSortedEacks(dst []uint32, limit int) []uint32 {
 		dst = append(dst, seq)
 	}
 	out := dst[start:]
-	sort.Slice(out, func(i, j int) bool { return packet.SeqLT(out[i], out[j]) })
+	slices.SortFunc(out, cmpSeq)
 	if len(out) > limit {
 		// The clipped extents stay unreported this ack: the sender may
 		// retransmit data the receiver already holds. Surface the clip

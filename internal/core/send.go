@@ -572,9 +572,11 @@ func (m *Machine) firstOutstanding() *sendPkt {
 
 // provenLost returns in-flight packets demonstrably lost (three or more
 // sacked packets above them), oldest first; dupTrigger additionally nominates
-// the earliest outstanding packet (classic three-dupack signal).
+// the earliest outstanding packet (classic three-dupack signal). The result
+// lives in the machine's scratch and is valid until the next call.
 func (m *Machine) provenLost(dupTrigger bool) []*sendPkt {
-	var lost []*sendPkt
+	clear(m.lost) // drop the last ack's references
+	lost := m.lost[:0]
 	// Fewer than three sacked packets in the whole flight means no packet can
 	// have three above it; skip the scan entirely. In loss-free operation this
 	// keeps ack processing O(1) in the flight size.
@@ -602,6 +604,7 @@ func (m *Machine) provenLost(dupTrigger bool) []*sendPkt {
 			lost = append(lost, first)
 		}
 	}
+	m.lost = lost
 	return lost
 }
 

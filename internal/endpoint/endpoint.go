@@ -22,6 +22,9 @@ type Transport interface {
 	StartClient()
 	StartServer()
 	Established() bool
+	// HandlePacket borrows p, with its Payload, Eacks and Attrs storage,
+	// for the duration of the call: the endpoint decodes every frame into
+	// one reused packet, so a transport copies whatever it keeps.
 	HandlePacket(p *packet.Packet)
 	Send(data []byte, marked bool) error
 	CanSend() bool
@@ -38,9 +41,11 @@ type Endpoint struct {
 	// (nil for other transports).
 	Machine *core.Machine
 
-	d    *netem.Dumbbell
-	addr netem.Addr
-	peer netem.Addr
+	d      *netem.Dumbbell
+	addr   netem.Addr
+	peer   netem.Addr
+	rx     packet.Packet  // decode scratch, lent to T.HandlePacket
+	timers *sim.TimerPool // handles recycled under core's Timer contract
 
 	// OnMessage, when set, receives every delivered application message.
 	OnMessage func(msg core.Message)
@@ -60,11 +65,13 @@ type simEnv struct{ ep *Endpoint }
 func (e simEnv) Now() time.Duration { return e.ep.d.Scheduler().Now() }
 
 func (e simEnv) Emit(p *packet.Packet) {
-	b, err := packet.Encode(p)
+	f := e.ep.d.GetFrame()
+	b, err := packet.AppendEncode(f.Payload, p)
 	if err != nil {
 		panic(fmt.Sprintf("endpoint: encode failed: %v", err))
 	}
-	e.ep.d.Inject(&netem.Frame{Src: e.ep.addr, Dst: e.ep.peer, Payload: b})
+	f.Src, f.Dst, f.Payload = e.ep.addr, e.ep.peer, b
+	e.ep.d.Inject(f)
 }
 
 func (e simEnv) Deliver(msg core.Message) {
@@ -76,18 +83,20 @@ func (e simEnv) Deliver(msg core.Message) {
 	}
 }
 
+// After recycles handles: both transports follow core.Timer's
+// reusable-handle contract.
 func (e simEnv) After(d time.Duration, fn func()) core.Timer {
-	return e.ep.d.Scheduler().After(d, fn)
+	return e.ep.timers.After(d, fn)
 }
 
-// HandleFrame implements netem.Handler.
+// HandleFrame implements netem.Handler. The frame is decoded into the
+// endpoint's scratch packet, which the transport borrows.
 func (ep *Endpoint) HandleFrame(f *netem.Frame) {
-	p, err := packet.Decode(f.Payload)
-	if err != nil {
+	if err := packet.DecodeInto(&ep.rx, f.Payload, ep.rx.Payload[:0]); err != nil {
 		ep.Drops++
 		return
 	}
-	ep.T.HandlePacket(p)
+	ep.T.HandlePacket(&ep.rx)
 }
 
 // Addr returns the endpoint's network address.
@@ -112,8 +121,8 @@ func Pair(d *netem.Dumbbell, senderCfg, receiverCfg core.Config) (*Endpoint, *En
 // PairTransport creates a connected pair with arbitrary transports built by
 // the given factories (sender left, receiver right).
 func PairTransport(d *netem.Dumbbell, mkSnd, mkRcv func(env core.Env) Transport) (*Endpoint, *Endpoint) {
-	snd := &Endpoint{d: d}
-	rcv := &Endpoint{d: d}
+	snd := &Endpoint{d: d, timers: sim.NewTimerPool(d.Scheduler())}
+	rcv := &Endpoint{d: d, timers: sim.NewTimerPool(d.Scheduler())}
 	snd.addr = d.AddLeft(snd)
 	rcv.addr = d.AddRight(rcv)
 	snd.peer, rcv.peer = rcv.addr, snd.addr

@@ -49,8 +49,8 @@ func (XOR) Name() string { return "xor" }
 
 // Fold implements Codec; for XOR the group index is irrelevant.
 func (XOR) Fold(acc, unit []byte, _ int) []byte {
-	for len(acc) < len(unit) {
-		acc = append(acc, 0)
+	if n := len(unit) - len(acc); n > 0 {
+		acc = append(acc, make([]byte, n)...) // one zeroed growth, reusing capacity
 	}
 	for i, b := range unit {
 		acc[i] ^= b
@@ -212,6 +212,7 @@ func (e *Encoder) Add(seq uint32, flags uint8, msgID uint32, frag, fragCnt uint1
 	}
 	if e.n == 0 {
 		e.base = seq
+		e.acc = e.acc[:0] // the last group's parity is no longer lent out
 	}
 	unit, err := appendUnit(e.unit[:0], flags, msgID, frag, fragCnt, attrs, payload)
 	if err != nil {
@@ -234,15 +235,13 @@ func (e *Encoder) Flush() (base uint32, span int, parity []byte, ok bool) {
 		return 0, 0, nil, false
 	}
 	base, span, parity = e.base, e.n, e.acc
+	// acc's storage is lent out until the next Add, which starts the next
+	// group in the same storage.
 	e.n = 0
-	// acc's storage is handed out until the next Add; reacquire lazily.
-	e.acc = nil
 	return base, span, parity, true
 }
 
 func (e *Encoder) reset() {
 	e.n = 0
-	if e.acc != nil {
-		e.acc = e.acc[:0]
-	}
+	e.acc = e.acc[:0]
 }

@@ -8,6 +8,7 @@ import (
 
 	"github.com/cercs/iqrudp/internal/attr"
 	"github.com/cercs/iqrudp/internal/packet"
+	"github.com/cercs/iqrudp/internal/race"
 )
 
 // pkt is a test-side stand-in for one DATA packet's FEC-relevant fields.
@@ -305,5 +306,52 @@ func TestBadRepairRejected(t *testing.T) {
 	}
 	if recs := d.OnRepair(0, 2, []byte{1, 2}, 0, 1, nil); len(recs) != 0 || len(d.groups) != 0 {
 		t.Error("runt parity accepted")
+	}
+}
+
+// The encoder reuses its accumulator across groups: a group of short units
+// following a group of long ones must not inherit the old parity's tail.
+func TestEncoderReusesAccumulatorAcrossGroups(t *testing.T) {
+	e := NewEncoder(XOR{}, 4)
+	long := mkPkts(0, 4)
+	for i := range long {
+		long[i].payload = bytes.Repeat([]byte{0xA5}, 900)
+	}
+	encodeGroup(t, e, long)
+	short := mkPkts(4, 4)
+	base, span, parity := encodeGroup(t, e, short)
+	d := NewDecoder(XOR{}, 0)
+	var recs []Recovered
+	for _, p := range short[1:] {
+		recs = d.OnData(p.seq, p.flags, p.msgID, p.frag, p.fragCnt, p.attrs, p.payload, 1, recs)
+	}
+	recs = d.OnRepair(base, span, parity, base, 2, recs)
+	if len(recs) != 1 {
+		t.Fatalf("got %d recoveries, want 1", len(recs))
+	}
+	checkRecovered(t, recs[0], short[0])
+}
+
+// TestEncoderSteadyStateZeroAlloc: once the accumulator and unit scratch
+// have grown, Add…Flush cycles allocate nothing.
+func TestEncoderSteadyStateZeroAlloc(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	e := NewEncoder(XOR{}, 16)
+	payloads := [][]byte{make([]byte, 1200), make([]byte, 300), make([]byte, 1400)}
+	seq := uint32(1)
+	cycle := func() {
+		for i := 0; i < 16; i++ {
+			e.Add(seq, packet.FlagMarked, seq, 0, 1, nil, payloads[i%len(payloads)])
+			seq++
+		}
+		if _, _, _, ok := e.Flush(); !ok {
+			t.Fatal("no group to flush")
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("Add…Flush cycle allocates %.1f objects, want 0", n)
 	}
 }

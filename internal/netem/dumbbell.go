@@ -14,6 +14,11 @@ import (
 //	src0 ─┐                       ┌─ dst0
 //	src1 ─┤ L ══ bottleneck ══ R ├─ dst1
 //	src2 ─┘                       └─ dst2
+//
+// The dumbbell owns a free list of frames (GetFrame). A pooled frame
+// handed to Inject is reclaimed at the end of its journey: when a link
+// drops it, when its destination is unknown, or when the destination
+// handler returns from HandleFrame.
 type Dumbbell struct {
 	net  *Network
 	fwd  *Link // left → right bottleneck
@@ -21,6 +26,7 @@ type Dumbbell struct {
 	side map[Addr]int
 	acc  map[Addr]*Link // per-host delivery link (router → host)
 	up   map[Addr]*Link // per-host uplink (host → router)
+	free []*Frame       // reclaimed pooled frames
 
 	accessBW float64
 }
@@ -87,10 +93,51 @@ func (d *Dumbbell) arriveLeft(f *Frame)  { d.toHost(f) }
 
 func (d *Dumbbell) toHost(f *Frame) {
 	if l, ok := d.acc[f.Dst]; ok {
-		l.Send(f)
+		d.send(l, f)
 		return
 	}
+	d.deliver(f)
+}
+
+// send forwards f on l, reclaiming it if the link drops it.
+func (d *Dumbbell) send(l *Link, f *Frame) bool {
+	if l.Send(f) {
+		return true
+	}
+	d.PutFrame(f)
+	return false
+}
+
+// deliver is the terminal sink: the handler borrows f, then it is reclaimed.
+func (d *Dumbbell) deliver(f *Frame) {
 	d.net.Deliver(f)
+	d.PutFrame(f)
+}
+
+// GetFrame returns an empty frame from the dumbbell's free list, for
+// Inject. Its Payload has length zero and keeps the capacity of earlier
+// use, so a sender can append an encoding into it without allocating.
+// Ownership passes to the dumbbell at Inject; a frame that is not injected
+// goes back with PutFrame.
+func (d *Dumbbell) GetFrame() *Frame {
+	if n := len(d.free); n > 0 {
+		f := d.free[n-1]
+		d.free[n-1] = nil
+		d.free = d.free[:n-1]
+		return f
+	}
+	return &Frame{pooled: true}
+}
+
+// PutFrame returns a frame from GetFrame to the free list. The caller must
+// hold no reference to it, or to its Payload, afterwards. Frames not taken
+// from GetFrame are left alone.
+func (d *Dumbbell) PutFrame(f *Frame) {
+	if !f.pooled {
+		return
+	}
+	*f = Frame{Payload: f.Payload[:0], pooled: true}
+	d.free = append(d.free, f)
 }
 
 // Network returns the underlying network (for handler attachment).
@@ -122,7 +169,7 @@ func (d *Dumbbell) add(h Handler, side int) Addr {
 	d.acc[a] = NewLink(d.net.s, LinkConfig{
 		Name: "access-down", Bandwidth: d.accessBW, Delay: 100 * time.Microsecond,
 		Jitter: 200 * time.Microsecond,
-	}, d.net.Deliver)
+	}, d.deliver)
 	// Host → router uplink: its serialisation spreads sender bursts before
 	// they reach the shared bottleneck queue, as a real NIC does.
 	d.up[a] = NewLink(d.net.s, LinkConfig{
@@ -137,6 +184,7 @@ func (d *Dumbbell) route(f *Frame) {
 	srcSide := d.side[f.Src]
 	dstSide, ok := d.side[f.Dst]
 	if !ok {
+		d.PutFrame(f)
 		return
 	}
 	if srcSide == dstSide {
@@ -144,10 +192,10 @@ func (d *Dumbbell) route(f *Frame) {
 		return
 	}
 	if srcSide == leftSide {
-		d.fwd.Send(f)
+		d.send(d.fwd, f)
 		return
 	}
-	d.rev.Send(f)
+	d.send(d.rev, f)
 }
 
 // Attach replaces the handler for an address (endpoint created after wiring).
@@ -156,7 +204,10 @@ func (d *Dumbbell) Attach(a Addr, h Handler) { d.net.Attach(a, h) }
 // Inject sends a frame from a host into the network via the host's uplink;
 // frames crossing sides then traverse the bottleneck. The return value
 // reports uplink admission (the uplink is effectively lossless; bottleneck
-// drops are counted on the bottleneck's stats).
+// drops are counted on the bottleneck's stats). Inject takes ownership of
+// a frame from GetFrame: the caller must not touch it afterwards.
+//
+//iqlint:owns
 func (d *Dumbbell) Inject(f *Frame) bool {
 	if _, ok := d.side[f.Src]; !ok {
 		panic("netem: inject from unknown address")
@@ -164,5 +215,5 @@ func (d *Dumbbell) Inject(f *Frame) bool {
 	if _, ok := d.side[f.Dst]; !ok {
 		panic("netem: inject to unknown address")
 	}
-	return d.up[f.Src].Send(f)
+	return d.send(d.up[f.Src], f)
 }

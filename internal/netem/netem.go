@@ -21,10 +21,17 @@ import (
 type Addr uint32
 
 // Frame is one network-layer datagram in flight.
+//
+// Frames a Dumbbell hands out with GetFrame are pooled: ownership passes
+// to the dumbbell at Inject, and it reclaims the frame, Payload storage
+// included, when the frame's journey ends (see Dumbbell). Frames a caller
+// builds itself are never recycled.
 type Frame struct {
 	Src, Dst Addr
 	Payload  []byte // encoded transport packet or opaque bytes
 	Size     int    // wire size in bytes (payload + emulated IP/UDP overhead)
+
+	pooled bool // taken from a Dumbbell's free list
 }
 
 // IPUDPOverhead is the emulated per-datagram IP+UDP header cost in bytes.
@@ -32,6 +39,9 @@ const IPUDPOverhead = 28
 
 // Handler receives frames addressed to a host.
 type Handler interface {
+	// HandleFrame borrows f, and f.Payload, for the duration of the call:
+	// a pooled frame is recycled as soon as the handler returns, so
+	// anything kept past the return must be copied.
 	HandleFrame(f *Frame)
 }
 
@@ -63,6 +73,8 @@ type Link struct {
 	jitter      time.Duration
 	queueMax    int // packets; ≤0 means unlimited
 	sink        func(f *Frame)
+	txDoneFn    func(any) // l.txDone, bound once
+	arriveFn    func(any) // l.arrive, bound once
 	busyUntil   sim.Time
 	queued      int // packets accepted but not yet fully serialised
 	queuedBytes int
@@ -94,7 +106,7 @@ func NewLink(s *sim.Scheduler, cfg LinkConfig, sink func(f *Frame)) *Link {
 	if sink == nil {
 		panic("netem: link sink must not be nil")
 	}
-	return &Link{
+	l := &Link{
 		name:     cfg.Name,
 		s:        s,
 		bps:      cfg.Bandwidth,
@@ -104,10 +116,12 @@ func NewLink(s *sim.Scheduler, cfg LinkConfig, sink func(f *Frame)) *Link {
 		lossProb: cfg.LossProb,
 		sink:     sink,
 	}
+	l.txDoneFn, l.arriveFn = l.txDone, l.arrive
+	return l
 }
 
 // Send enqueues a frame. It returns false if the frame was dropped (queue
-// overflow or random loss).
+// overflow or random loss); the link then holds no reference to it.
 func (l *Link) Send(f *Frame) bool {
 	if f.Size <= 0 {
 		f.Size = len(f.Payload) + IPUDPOverhead
@@ -144,15 +158,23 @@ func (l *Link) Send(f *Frame) bool {
 	if l.jitter > 0 {
 		arrive += time.Duration(l.s.Rand().Int63n(int64(l.jitter)))
 	}
-	l.s.At(done, func() {
-		l.queued--
-		l.queuedBytes -= f.Size
-		l.stats.Sent++
-		l.stats.SentBytes += uint64(f.Size)
-	})
-	l.s.At(arrive, func() { l.sink(f) })
+	l.s.Post(done, l.txDoneFn, f)
+	l.s.Post(arrive, l.arriveFn, f)
 	return true
 }
+
+// txDone runs when a frame finishes serialisation. Arrival is never earlier
+// than serialisation end, so the frame is still in this link's hands.
+func (l *Link) txDone(a any) {
+	f := a.(*Frame)
+	l.queued--
+	l.queuedBytes -= f.Size
+	l.stats.Sent++
+	l.stats.SentBytes += uint64(f.Size)
+}
+
+// arrive hands a frame to the sink after propagation.
+func (l *Link) arrive(a any) { l.sink(a.(*Frame)) }
 
 // QueuedPackets returns the packets currently held by the link queue
 // (including the frame being serialised).
@@ -203,8 +225,8 @@ func (n *Network) Attach(a Addr, h Handler) {
 	n.handlers[a] = h
 }
 
-// Deliver hands a frame to its destination handler. It is the terminal sink
-// used by the last link on a path.
+// Deliver hands a frame to its destination handler, which borrows it for
+// the call. It is the terminal sink used by the last link on a path.
 func (n *Network) Deliver(f *Frame) {
 	h, ok := n.handlers[f.Dst]
 	if !ok || h == nil {

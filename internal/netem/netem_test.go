@@ -305,7 +305,9 @@ func BenchmarkDumbbellForwarding(b *testing.B) {
 	dst := d.AddRight(HandlerFunc(func(f *Frame) {}))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d.Inject(&Frame{Src: src, Dst: dst, Size: 1400})
+		f := d.GetFrame()
+		f.Src, f.Dst, f.Size = src, dst, 1400
+		d.Inject(f)
 		if i%64 == 0 {
 			s.Run()
 		}
@@ -359,5 +361,62 @@ func TestREDQuietBelowMinThreshold(t *testing.T) {
 	}
 	if delivered == 0 {
 		t.Fatal("nothing delivered")
+	}
+}
+
+// Pooled frames come back to the dumbbell at every terminal point: a queue
+// drop, delivery (after the handler returns) and a missing handler.
+func TestDumbbellReclaimsPooledFrames(t *testing.T) {
+	s := sim.New(1)
+	d := NewDumbbell(s, DumbbellConfig{Bandwidth: 1e6, Delay: 5 * time.Millisecond, QueueMax: 3})
+	src := d.AddLeft(HandlerFunc(func(f *Frame) {}))
+	received := 0
+	dst := d.AddRight(HandlerFunc(func(f *Frame) {
+		// The handler borrows the frame: it is intact for the call.
+		if f.Src != src || string(f.Payload) != "hello" {
+			t.Errorf("handler saw a recycled frame: %+v", f)
+		}
+		received++
+	}))
+	frames := map[*Frame]bool{}
+	for i := 0; i < 50; i++ {
+		f := d.GetFrame()
+		frames[f] = true
+		f.Src, f.Dst, f.Payload = src, dst, append(f.Payload, "hello"...)
+		d.Inject(f)
+	}
+	s.Run()
+	if received == 0 || d.Bottleneck().Stats().Dropped == 0 {
+		t.Fatalf("want both deliveries and drops: received %d, dropped %d", received, d.Bottleneck().Stats().Dropped)
+	}
+	if len(d.free) != len(frames) {
+		t.Fatalf("%d of %d frames reclaimed", len(d.free), len(frames))
+	}
+	f := d.GetFrame()
+	if !frames[f] || f.Src != 0 || f.Dst != 0 || f.Size != 0 || len(f.Payload) != 0 || cap(f.Payload) == 0 {
+		t.Fatalf("recycled frame not reset with its storage kept: %+v", f)
+	}
+
+	// No handler at the destination: the frame is reclaimed all the same.
+	d.Attach(dst, nil)
+	f.Src, f.Dst = src, dst
+	d.Inject(f)
+	s.Run()
+	if len(d.free) != len(frames) {
+		t.Fatalf("frame to a missing handler not reclaimed: %d free of %d", len(d.free), len(frames))
+	}
+}
+
+// Frames a caller builds itself are never recycled.
+func TestDumbbellLeavesCallerFramesAlone(t *testing.T) {
+	s := sim.New(1)
+	d := NewDumbbell(s, DefaultDumbbell())
+	src := d.AddLeft(HandlerFunc(func(f *Frame) {}))
+	dst := d.AddRight(HandlerFunc(func(f *Frame) {}))
+	f := &Frame{Src: src, Dst: dst, Payload: []byte("mine")}
+	d.Inject(f)
+	s.Run()
+	if len(d.free) != 0 || string(f.Payload) != "mine" || f.Src != src {
+		t.Fatalf("caller-built frame was recycled: free %d, frame %+v", len(d.free), f)
 	}
 }

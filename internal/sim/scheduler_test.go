@@ -314,17 +314,122 @@ func TestStopNilTimer(t *testing.T) {
 	}
 }
 
+// BenchmarkSchedulerChurn keeps about a thousand events queued at random
+// delays. The after leg mints a cancellable handle per event; the post leg
+// is the handle-less fire-and-forget path and allocates nothing.
 func BenchmarkSchedulerChurn(b *testing.B) {
-	s := New(1)
-	rng := rand.New(rand.NewSource(2))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.After(time.Duration(rng.Intn(1000))*time.Microsecond, func() {})
-		if s.Len() > 1024 {
-			for j := 0; j < 512; j++ {
-				s.Step()
+	nop, nopArg := func() {}, func(any) {}
+	legs := []struct {
+		name     string
+		schedule func(s *Scheduler, d time.Duration)
+	}{
+		{"after", func(s *Scheduler, d time.Duration) { s.After(d, nop) }},
+		{"post", func(s *Scheduler, d time.Duration) { s.Post(s.Now()+d, nopArg, nil) }},
+	}
+	for _, leg := range legs {
+		b.Run(leg.name, func(b *testing.B) {
+			s := New(1)
+			rng := rand.New(rand.NewSource(2))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				leg.schedule(s, time.Duration(rng.Intn(1000))*time.Microsecond)
+				if s.Len() > 1024 {
+					for j := 0; j < 512; j++ {
+						s.Step()
+					}
+				}
 			}
+			s.Run()
+		})
+	}
+}
+
+// Post events interleave with At/After events in (time, scheduling order).
+func TestPostOrdersWithTimers(t *testing.T) {
+	s := New(1)
+	var got []string
+	rec := func(a any) { got = append(got, *a.(*string)) }
+	p1, p2 := "post1", "post2"
+	s.At(time.Second, func() { got = append(got, "at1") })
+	s.Post(time.Second, rec, &p1)
+	s.Post(500*time.Millisecond, rec, &p2)
+	s.At(time.Second, func() { got = append(got, "at2") })
+	s.Run()
+	want := []string{"post2", "at1", "post1", "at2"}
+	if len(got) != len(want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("order = %v, want %v", got, want)
 		}
 	}
+	if s.Fired() != 4 {
+		t.Fatalf("Fired = %d, want 4", s.Fired())
+	}
+}
+
+func TestPostInPastPanics(t *testing.T) {
+	s := New(1)
+	s.RunUntil(time.Second)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("posting into the past did not panic")
+		}
+	}()
+	s.Post(time.Millisecond, func(any) {}, nil)
+}
+
+// A pooled handle comes back once its callback begins, and a stopped one
+// only after its stale event has been popped: a recycled handle is never
+// fired by an event queued for its previous use.
+func TestTimerPoolRecycling(t *testing.T) {
+	s := New(1)
+	p := NewTimerPool(s)
+	fired := 0
+	a := p.After(time.Second, func() { fired++ })
+	if !a.Stop() {
+		t.Fatal("Stop on a pending pooled timer reported false")
+	}
+	b := p.After(2*time.Second, func() { fired += 10 })
+	if b == a {
+		t.Fatal("a stopped handle was reused while its event was still queued")
+	}
+	s.RunUntil(1500 * time.Millisecond) // a's stale event pops and is discarded
+	if fired != 0 {
+		t.Fatalf("stopped timer fired (%d)", fired)
+	}
+	c := p.After(time.Second, func() { fired += 100 })
+	if c != a {
+		t.Fatal("the reaped handle was not recycled")
+	}
 	s.Run()
+	if fired != 110 {
+		t.Fatalf("fired = %d, want b and c once each (110)", fired)
+	}
+	if c.Pending() || c.Stop() {
+		t.Fatal("a fired pooled handle still reports pending")
+	}
+}
+
+// A callback that re-arms through its pool gets its own handle back, so a
+// periodic re-arm allocates nothing; so do Post and a running Ticker.
+func TestSteadyStateSchedulingZeroAlloc(t *testing.T) {
+	s := New(1)
+	p := NewTimerPool(s)
+	var rearm func()
+	rearm = func() { p.After(time.Millisecond, rearm) }
+	p.After(time.Millisecond, rearm)
+	post := func(any) {}
+	NewTicker(s, time.Millisecond, func() {})
+	step := func() {
+		s.Post(s.Now()+time.Millisecond, post, s)
+		s.RunUntil(s.Now() + time.Millisecond)
+	}
+	for i := 0; i < 100; i++ {
+		step()
+	}
+	if n := testing.AllocsPerRun(1000, step); n != 0 {
+		t.Fatalf("steady-state scheduling allocates %.1f objects per step, want 0", n)
+	}
 }

@@ -9,6 +9,7 @@ type Ticker struct {
 	s      *Scheduler
 	period time.Duration
 	fn     func()
+	fire   func() // t.tick, bound once
 	timer  *Timer
 	stop   bool
 	ticks  uint64
@@ -21,21 +22,31 @@ func NewTicker(s *Scheduler, period time.Duration, fn func()) *Ticker {
 		panic("sim: ticker period must be positive")
 	}
 	t := &Ticker{s: s, period: period, fn: fn}
+	t.fire = t.tick
 	t.arm()
 	return t
 }
 
+// arm queues the next tick. The ticker's own handle is re-armed once its
+// event has popped, so a running ticker allocates nothing per tick; only a
+// Reset, which leaves the stopped event queued, takes a fresh handle.
 func (t *Ticker) arm() {
-	t.timer = t.s.After(t.period, func() {
-		if t.stop {
-			return
-		}
-		t.ticks++
-		t.fn()
-		if !t.stop {
-			t.arm()
-		}
-	})
+	if t.timer == nil || t.timer.state != timerIdle {
+		t.timer = &Timer{}
+	}
+	t.timer.fn = t.fire
+	t.s.arm(t.timer, t.s.now+t.period)
+}
+
+func (t *Ticker) tick() {
+	if t.stop {
+		return
+	}
+	t.ticks++
+	t.fn()
+	if !t.stop {
+		t.arm()
+	}
 }
 
 // Stop permanently disables the ticker.

@@ -196,9 +196,11 @@ func (m *Machine) Close() {
 	m.state = stDead
 	if m.rtxTimer != nil {
 		m.rtxTimer.Stop()
+		m.rtxTimer = nil
 	}
 	if m.connTimer != nil {
 		m.connTimer.Stop()
+		m.connTimer = nil
 	}
 }
 
@@ -216,6 +218,7 @@ func (m *Machine) armSynAckRetry() {
 		m.connTimer.Stop()
 	}
 	m.connTimer = m.env.After(m.rto, func() {
+		m.connTimer = nil
 		if m.state == stSynRcvd {
 			m.sendSynAck(0)
 			m.armSynAckRetry()
@@ -226,6 +229,7 @@ func (m *Machine) armSynAckRetry() {
 func (m *Machine) sendSyn() {
 	m.env.Emit(&packet.Packet{Type: packet.SYN, ConnID: m.connID, Seq: 1, Wnd: m.cfg.RecvWindow, TS: m.env.Now()})
 	m.connTimer = m.env.After(m.rto, func() {
+		m.connTimer = nil
 		if m.state == stSynSent {
 			m.sendSyn()
 		}
@@ -393,7 +397,9 @@ func (m *Machine) advertiseWnd() uint16 {
 	return m.cfg.RecvWindow - uint16(used)
 }
 
-// HandlePacket feeds a decoded packet into the endpoint.
+// HandlePacket feeds a decoded packet into the endpoint. Like the IQ-RUDP
+// machine it borrows p only for the call: out-of-order segments and
+// reassembly fragments are copied.
 func (m *Machine) HandlePacket(p *packet.Packet) {
 	if m.state == stDead {
 		return
@@ -467,7 +473,11 @@ func (m *Machine) handleData(p *packet.Packet) {
 	default:
 		if len(m.ooo) < int(m.cfg.RecvWindow) {
 			if _, dup := m.ooo[p.Seq]; !dup {
-				m.ooo[p.Seq] = p
+				// p is borrowed (endpoint.Transport): keep a copy.
+				q := *p
+				q.Payload = append([]byte(nil), p.Payload...)
+				q.Eacks, q.Attrs = nil, nil
+				m.ooo[p.Seq] = &q
 			}
 		}
 	}
@@ -650,6 +660,7 @@ func (m *Machine) armRtx() {
 }
 
 func (m *Machine) onTimeout() {
+	m.rtxTimer = nil // spent: the environment may recycle the handle
 	if m.state != stEstablished {
 		return
 	}
@@ -716,7 +727,7 @@ func (r *reassembly) add(p *packet.Packet) {
 	}
 	idx := int(p.Frag)
 	if idx < r.fragCnt && r.frags[idx] == nil {
-		r.frags[idx] = p.Payload
+		r.frags[idx] = append([]byte(nil), p.Payload...) // p is borrowed
 		r.got++
 	}
 	if r.sentAt == 0 || p.TS < r.sentAt {

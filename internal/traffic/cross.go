@@ -56,7 +56,9 @@ func (c *CBR) Start() {
 	}
 	c.ticker = sim.NewTicker(c.d.Scheduler(), interval, func() {
 		c.sent++
-		c.d.Inject(&netem.Frame{Src: c.src, Dst: c.dst, Size: c.pktSize})
+		f := c.d.GetFrame()
+		f.Src, f.Dst, f.Size = c.src, c.dst, c.pktSize
+		c.d.Inject(f)
 	})
 }
 
@@ -125,7 +127,9 @@ func (v *VBR) Start() {
 				n = v.mtu
 			}
 			v.sent++
-			v.d.Inject(&netem.Frame{Src: v.src, Dst: v.dst, Size: n + netem.IPUDPOverhead})
+			f := v.d.GetFrame()
+			f.Src, f.Dst, f.Size = v.src, v.dst, n+netem.IPUDPOverhead
+			v.d.Inject(f)
 			size -= n
 		}
 	})
