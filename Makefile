@@ -32,10 +32,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-race-smoke: ## quick -race pass: loopback wire tests incl. the traced-sinks smoke, TX ring, packet pool, the batched socket I/O, the timing wheel and the serve engine
+race-smoke: ## quick -race pass: loopback wire tests incl. the traced-sinks smoke, TX ring, packet pool, the batched socket I/O, the cookie MACs shared under the source mutex, the atomic histogram archive, the timing wheel and the serve engine
 	$(GO) test -race -run 'TestTracedLoopbackAllSinks|TestDialListenRoundTrip|TestManyMessagesOrdered|TestConcurrentSendersOneConnection|TestBidirectional|TestDialedTxRingFlushes|TestTxErrorCounted|TestWheelTimer' ./internal/udpwire/
 	$(GO) test -race ./internal/packet/
 	$(GO) test -race ./internal/uio/
+	$(GO) test -race ./internal/guard/
+	$(GO) test -race ./internal/hist/
 	$(GO) test -race ./internal/wheel/
 	$(GO) test -race ./internal/serve/
 	$(GO) test -race -run 'TestSteadyStateAllocs' .

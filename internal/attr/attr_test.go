@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"github.com/cercs/iqrudp/internal/race"
 )
 
 func TestValueConstructorsAndConversions(t *testing.T) {
@@ -363,4 +365,50 @@ func TestRegistryConcurrency(t *testing.T) {
 		r.Snapshot()
 	}
 	<-done
+}
+
+// TestDecodeInternsReservedNames pins the interning in Decode: a block of
+// reserved names (the handshake's LOSS_TOLERANCE and FEC_GROUP) costs only
+// the list and its backing array, while an application-defined name is
+// still copied out of the wire buffer.
+func TestDecodeInternsReservedNames(t *testing.T) {
+	known, err := Encode(NewList(Attr{LossTolerance, Float(0.3)}, Attr{FECGroup, Int(16)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	custom, err := Encode(NewList(Attr{LossTolerance, Float(0.3)}, Attr{"app.note", Int(1)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := Decode(custom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range custom {
+		custom[i] = 0 // the decoded list must not alias the wire buffer
+	}
+	if v, ok := l.Get("app.note"); !ok || v.AsInt() != 1 || l.FloatOr(LossTolerance, 0) != 0.3 {
+		t.Fatalf("decoded list changed with its wire buffer: %v", l)
+	}
+	if race.Enabled {
+		return
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _, _ = Decode(known) }); n != 2 {
+		t.Fatalf("decoding two reserved names allocates %v, want 2 (list + backing array)", n)
+	}
+}
+
+// TestRegistryZeroValue checks that a zero Registry (as embedded in a
+// connection's machine) works without NewRegistry.
+func TestRegistryZeroValue(t *testing.T) {
+	var r Registry
+	if _, ok := r.Get(NetLoss); ok || r.Len() != 0 || r.Snapshot().Len() != 0 {
+		t.Fatal("zero registry should be empty")
+	}
+	seen := 0
+	r.Watch(NetLoss, func(string, Value) { seen++ })
+	r.Set(NetLoss, Float(0.2))
+	if seen != 1 || r.FloatOr(NetLoss, 0) != 0.2 {
+		t.Fatalf("zero registry: watcher calls %d, value %v", seen, r.FloatOr(NetLoss, 0))
+	}
 }

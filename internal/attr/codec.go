@@ -101,7 +101,7 @@ func Decode(b []byte) (*List, int, error) {
 		if off+nameLen+1 > len(b) {
 			return nil, 0, ErrTruncated
 		}
-		name := string(b[off : off+nameLen])
+		name := intern(b[off : off+nameLen])
 		off += nameLen
 		kind := Kind(b[off])
 		off++

@@ -76,16 +76,29 @@ const (
 	FECGroup = "FEC_GROUP"
 )
 
+// reserved is the reserved vocabulary in declaration order. Names hands out
+// copies; Decode interns wire names against it.
+var reserved = [...]string{
+	AdaptFreq, AdaptMark, AdaptPktSize, AdaptWhen, AdaptCond, AdaptCondRate,
+	NetLoss, NetRTT, NetRate, NetCwnd, NetRetrans,
+	LossTolerance, Marked, Deadline, FECGroup,
+}
+
 // Names lists every reserved attribute name declared above. The attribute
 // vocabulary is open — applications publish their own keys freely — but
 // these names are claimed by the transport, and the tracekeys analyzer
 // rejects raw string literals spelling them (a typo'd reserved key is
 // published but never matched). Tests and tooling use this list to
 // validate captured attribute sets.
-func Names() []string {
-	return []string{
-		AdaptFreq, AdaptMark, AdaptPktSize, AdaptWhen, AdaptCond, AdaptCondRate,
-		NetLoss, NetRTT, NetRate, NetCwnd, NetRetrans,
-		LossTolerance, Marked, Deadline, FECGroup,
+func Names() []string { return append([]string(nil), reserved[:]...) }
+
+// intern returns the reserved name spelled by b, so decoding a transport
+// attribute allocates no string; any other name is copied out of b.
+func intern(b []byte) string {
+	for _, name := range reserved {
+		if string(b) == name {
+			return name
+		}
 	}
+	return string(b)
 }

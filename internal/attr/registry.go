@@ -9,7 +9,8 @@ import "sync"
 // publishes NET_LOSS continuously; the application publishes LOSS_TOLERANCE).
 //
 // Registry is safe for concurrent use; under the discrete-event simulator
-// the mutex is uncontended and effectively free.
+// the mutex is uncontended and effectively free. The zero Registry is empty
+// and ready to use; its maps are made on first write.
 type Registry struct {
 	mu       sync.RWMutex
 	attrs    map[string]Value
@@ -18,18 +19,16 @@ type Registry struct {
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		attrs:    make(map[string]Value),
-		watchers: make(map[string][]func(string, Value)),
-	}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // Set publishes name=v and synchronously notifies watchers of that name and
 // catch-all watchers. Notification happens outside the lock so watchers may
 // call back into the registry.
 func (r *Registry) Set(name string, v Value) {
 	r.mu.Lock()
+	if r.attrs == nil {
+		r.attrs = make(map[string]Value)
+	}
 	r.attrs[name] = v
 	var named, all []func(string, Value)
 	named = append(named, r.watchers[name]...)
@@ -65,6 +64,9 @@ func (r *Registry) FloatOr(name string, def float64) float64 {
 func (r *Registry) Watch(name string, fn func(name string, v Value)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.watchers == nil {
+		r.watchers = make(map[string][]func(string, Value))
+	}
 	r.watchers[name] = append(r.watchers[name], fn)
 }
 

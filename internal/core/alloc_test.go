@@ -140,3 +140,28 @@ func TestLossyAckPathZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state ack/eack exchange allocates %.1f objects, want 0", n)
 	}
 }
+
+// TestMachineConstructionAllocs pins the flattened machine. NewHists is the
+// set plus one bucket array shared by its five histograms. NewMachine with
+// the serve engine's per-connection settings (flight ring, histograms) is
+// the machine itself, its flight ring (struct and slots) and the attribute
+// registry's first entry: the controller, estimators, reassembler and
+// coordinator live inside the machine, and the out-of-order and skipped-
+// message maps and the timer callbacks cost nothing until first used.
+func TestMachineConstructionAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = core.NewHists() }); n != 2 {
+		t.Fatalf("NewHists allocates %v, want 2", n)
+	}
+	cfg := core.DefaultConfig()
+	cfg.FlightEvents = 64
+	cfg.Hists = core.NewHists()
+	env := &pipeEnd{}
+	n := testing.AllocsPerRun(100, func() { _ = core.NewMachine(cfg, env) })
+	t.Logf("NewMachine allocates %v", n)
+	if n > 5 {
+		t.Fatalf("NewMachine allocates %v, want at most 5", n)
+	}
+}

@@ -21,8 +21,8 @@ type congestion struct {
 	decreases    uint64
 }
 
-func newCongestion(cfg *Config) *congestion {
-	c := &congestion{
+func newCongestion(cfg *Config) congestion {
+	c := congestion{
 		cwnd:     cfg.InitialCwnd,
 		ssthresh: cfg.MaxCwnd / 2,
 		maxCwnd:  cfg.MaxCwnd,

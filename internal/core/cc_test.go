@@ -222,3 +222,31 @@ func TestRTTMinFloor(t *testing.T) {
 		t.Fatalf("RTO must floor at min: %v", r.RTO())
 	}
 }
+
+// TestSendPktFreelistHoldsFullFlight pins the sendPkt freelist bound to the
+// largest flight the machine can hold — MaxCwnd capped by the peer's
+// advertised window, at least one packet — so a sender running a full
+// window recycles every sendPkt instead of allocating past a fixed cap.
+func TestSendPktFreelistHoldsFullFlight(t *testing.T) {
+	for _, tc := range []struct {
+		maxCwnd float64
+		peerWnd uint16
+		want    int
+	}{
+		{1024, 512, 512}, // default dialer against a default receiver
+		{1024, 4000, 1024},
+		{128, 512, 128},
+		{1024, 0, 1},
+	} {
+		cfg := DefaultConfig()
+		cfg.MaxCwnd = tc.maxCwnd
+		m := NewMachine(cfg, &nullEnv{})
+		m.peerWnd = tc.peerWnd
+		for i := 0; i < 5000; i++ {
+			m.putSendPkt(new(sendPkt))
+		}
+		if got := len(m.spFree); got != tc.want {
+			t.Errorf("MaxCwnd %v, peer window %d: freelist holds %d sendPkts, want %d", tc.maxCwnd, tc.peerWnd, got, tc.want)
+		}
+	}
+}

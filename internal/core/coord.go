@@ -39,8 +39,6 @@ type coordinator struct {
 	framesSeen    uint64
 }
 
-func newCoordinator(m *Machine) *coordinator { return &coordinator{m: m} }
-
 // discardUnmarked reports whether Case-1 discarding is active.
 func (c *coordinator) discardUnmarked() bool { return c.discard }
 
@@ -167,10 +165,10 @@ func (c *coordinator) enact(rep *AdaptationReport, condEratio float64) {
 // when the decision was not to rescale).
 func (c *coordinator) traceDecision(caseNo int, rep *AdaptationReport, factor float64, reason string) {
 	m := c.m
-	if m.tr == nil {
+	if !m.tracing() {
 		return
 	}
-	m.tr.Trace(trace.Event{
+	m.trace(trace.Event{
 		Time:       m.env.Now(),
 		Type:       trace.CoordinationDecision,
 		ConnID:     m.connID,

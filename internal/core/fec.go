@@ -93,8 +93,8 @@ func (m *Machine) emitRepair(reason string) {
 	}
 	now := m.env.Now()
 	m.metrics.FecRepairsSent++
-	if m.tr != nil {
-		m.tr.Trace(trace.Event{
+	if m.tracing() {
+		m.trace(trace.Event{
 			Time: now, Type: trace.FecRepairSent, ConnID: m.connID,
 			Seq: base, Size: len(parity), Reason: reason,
 		})
@@ -180,8 +180,8 @@ func (m *Machine) acceptRecovered(r fec.Recovered) {
 	if marked {
 		m.metrics.FecRecoveredMarked++
 	}
-	if m.tr != nil {
-		m.tr.Trace(trace.Event{
+	if m.tracing() {
+		m.trace(trace.Event{
 			Time: now, Type: trace.FecRecovered, ConnID: m.connID,
 			Seq: r.Seq, MsgID: r.MsgID, Size: len(r.Payload), Marked: marked,
 		})
@@ -230,8 +230,8 @@ func (m *Machine) fecAdapt() {
 		return
 	}
 	m.fecEnc.SetGroup(k)
-	if m.tr != nil {
-		m.tr.Trace(trace.Event{
+	if m.tracing() {
+		m.trace(trace.Event{
 			Time: m.env.Now(), Type: trace.FecRateChange, ConnID: m.connID,
 			PrevCwnd: float64(prev), Cwnd: float64(k),
 			ErrorRatio: loss, Reason: trace.ReasonFecAdapt,

@@ -113,8 +113,8 @@ type Machine struct {
 
 	// Receive side.
 	rcvNxt   uint32
-	ooo      map[uint32]*packet.Packet // out-of-order buffer
-	reasm    *reassembler
+	ooo      map[uint32]*packet.Packet // out-of-order buffer (made on first use)
+	reasm    reassembler
 	peerTol  float64 // peer's (receiver) declared loss tolerance — our budget when sending
 	localTol float64
 
@@ -122,12 +122,14 @@ type Machine struct {
 	// messages not delivered must stay within peerTol.
 	relMsgsTotal   uint64          // messages offered by the application
 	relMsgsDropped uint64          // messages discarded or skipped (≥1 fragment lost)
-	skippedMsgs    map[uint32]bool // msgIDs with at least one skipped fragment
+	skippedMsgs    map[uint32]bool // msgIDs with at least one skipped fragment (made on first use)
 
-	cc   *congestion
-	rtt  *rttEstimator
-	meas *measurement
-	coo  *coordinator
+	// The controller, estimator, measurement loop and coordinator live
+	// inside the machine: one allocation holds a connection's whole state.
+	cc   congestion
+	rtt  rttEstimator
+	meas measurement
+	coo  coordinator
 
 	// Forward-erasure repair (see fec.go). The encoder exists only when both
 	// sides negotiated FEC at the handshake; the decoder is built lazily on
@@ -142,15 +144,16 @@ type Machine struct {
 	fecFlushTimer Timer           // partial-group flush timer
 	fecFlushFn    func()          // cached onFecFlush method value
 
-	reg *attr.Registry
+	reg attr.Registry
 
-	// tr receives structured events at every decision point; nil disables
-	// tracing (see trace.go for the instrumentation wrappers).
+	// tr (Config.Tracer) and flightRing receive structured events at every
+	// decision point; with both nil, tracing is off (see trace.go for the
+	// instrumentation wrappers).
 	tr trace.Tracer
 
 	// Observability (see obs.go): optional histogram set, the always-on
-	// flight-recorder ring feeding tr alongside cfg.Tracer, and the black-box
-	// snapshot taken on abnormal close.
+	// flight-recorder ring fed alongside tr, and the black-box snapshot
+	// taken on abnormal close.
 	hs         *Hists
 	flightRing *trace.Ring
 	flightRec  *FlightRecord
@@ -164,15 +167,15 @@ type Machine struct {
 
 	// Timers. Every timer callback clears its field on entry (see the
 	// Env.After contract: a fired Timer handle is spent and must not be
-	// retained), and each callback is cached as a method value at
-	// construction so re-arming never allocates a closure.
+	// retained), and each callback is cached as a method value the first
+	// time its timer is armed, so re-arming never allocates a closure and a
+	// connection pays only for the timers it uses.
 	rtxTimer    Timer
 	rtxAt       time.Duration // absolute fire time of the armed rtx timer
 	rtxIsProbe  bool          // armed for a forward-point probe, not an RTO
 	rtxExpireFn func()        // cached onRtxExpire method value (no per-arm closure)
-	connTimer   Timer
-	synRetryFn  func() // cached onSynRetry method value
-	finRetryFn  func() // cached onFinRetry method value
+	connTimer   Timer         // handshake / teardown retry (see onConnRetry)
+	connRetryFn func()        // cached onConnRetry method value
 	measTicker  Timer
 
 	closing     bool   // Close requested; FIN once the pipeline drains
@@ -190,7 +193,7 @@ type Machine struct {
 	metrics Metrics
 
 	// Receiver-side delivery stats (also exposed in Metrics).
-	arrivals *stats.Arrivals
+	arrivals stats.Arrivals
 
 	// Emission scratch. Every outgoing packet is staged here: the Env.Emit
 	// contract lets the environment borrow the packet only for the duration
@@ -198,6 +201,7 @@ type Machine struct {
 	// allocating. outEacks is the staged EACK list's backing storage.
 	out      packet.Packet
 	outEacks []uint32
+	hsAttrs  attr.List // handshake attributes, rebuilt in place per SYN/SYNACK
 
 	// lost is provenLost's result storage, reused across acks.
 	lost []*sendPkt
@@ -218,32 +222,22 @@ func NewMachine(cfg Config, env Env) *Machine {
 		sndISN: isn,
 		// SYN/SYNACK consume the ISN; data starts at ISN+1, matching the
 		// peer's rcvNxt after the handshake.
-		sndNxt:      isn + 1,
-		sndUna:      isn + 1,
-		rcvNxt:      0,
-		ooo:         make(map[uint32]*packet.Packet),
-		skippedMsgs: make(map[uint32]bool),
-		cc:          newCongestion(&cfg),
-		rtt:         newRTTEstimator(cfg.RTOMin, cfg.RTOMax),
-		reg:         attr.NewRegistry(),
-		localTol:    cfg.LossTolerance,
-		peerWnd:     cfg.RecvWindow,
-		arrivals:    stats.NewArrivals(false),
-		tr:          cfg.Tracer,
-		hs:          cfg.Hists,
+		sndNxt:   isn + 1,
+		sndUna:   isn + 1,
+		rcvNxt:   0,
+		cc:       newCongestion(&cfg),
+		rtt:      newRTTEstimator(cfg.RTOMin, cfg.RTOMax),
+		localTol: cfg.LossTolerance,
+		peerWnd:  cfg.RecvWindow,
+		tr:       cfg.Tracer,
+		hs:       cfg.Hists,
 	}
 	if cfg.FlightEvents > 0 {
 		m.flightRing = trace.NewRing(cfg.FlightEvents)
-		m.tr = trace.Multi(cfg.Tracer, m.flightRing)
 	}
-	m.reasm = newReassembler(m)
-	m.meas = newMeasurement(m)
-	m.coo = newCoordinator(m)
-	m.rtxExpireFn = m.onRtxExpire
-	m.synRetryFn = m.onSynRetry
-	m.finRetryFn = m.onFinRetry
-	m.paceFn = m.onPaceGap
-	m.liveFn = m.onLiveTick
+	m.reasm.m = m
+	m.meas.init(m)
+	m.coo.m = m
 	m.reg.Set(attr.LossTolerance, attr.Float(m.localTol))
 	return m
 }
@@ -251,7 +245,7 @@ func NewMachine(cfg Config, env Env) *Machine {
 // Registry returns the connection's shared quality-attribute registry. The
 // transport publishes NET_* metrics there each measurement period; the
 // application may publish its own attributes (e.g. LOSS_TOLERANCE).
-func (m *Machine) Registry() *attr.Registry { return m.reg }
+func (m *Machine) Registry() *attr.Registry { return &m.reg }
 
 // State returns a debugging name for the connection phase.
 func (m *Machine) State() string { return m.state.String() }
@@ -330,7 +324,7 @@ func (m *Machine) sendSyn() {
 		m.synPayload = append(m.synPayload, m.cfg.ResumeToken...)
 		payload = m.synPayload
 	}
-	p := &packet.Packet{
+	m.out = packet.Packet{
 		Type:    packet.SYN,
 		ConnID:  m.connID,
 		Seq:     m.sndISN,
@@ -339,8 +333,8 @@ func (m *Machine) sendSyn() {
 		Attrs:   m.handshakeAttrs(),
 		Payload: payload,
 	}
-	m.env.Emit(p)
-	m.armConnRetry(m.synRetryFn)
+	m.env.Emit(&m.out)
+	m.armConnRetry()
 }
 
 // handleRetry honours a stateless address-validation challenge: re-send the
@@ -358,29 +352,37 @@ func (m *Machine) handleRetry(p *packet.Packet) {
 	m.sendSyn()
 }
 
-// onSynRetry is the cached SYN-retransmission callback: while the active
-// open is still unanswered, re-send the SYN (which re-arms the retry).
-func (m *Machine) onSynRetry() {
+// onConnRetry is the cached handshake/teardown retry callback. The phase
+// the timer was armed in decides the action — establishment and death stop
+// the timer, so it only ever fires in that phase:
+//
+//   - syn-sent: the active open is unanswered; re-send the SYN (which
+//     re-arms the retry);
+//   - syn-rcvd: the SYNACK (or the final handshake leg) was lost; re-send
+//     the SYNACK, within the retry budget (see synAckRetry);
+//   - fin-wait: an unanswered FIN gets one retry interval before the
+//     connection is torn down.
+func (m *Machine) onConnRetry() {
 	m.connTimer = nil
-	if m.state == stSynSent {
+	switch m.state {
+	case stSynSent:
 		m.sendSyn()
-	}
-}
-
-// onFinRetry is the cached FIN-timeout callback: an unanswered FIN gets one
-// retry interval before the connection is torn down.
-func (m *Machine) onFinRetry() {
-	m.connTimer = nil
-	if m.state == stFinWait {
+	case stSynRcvd:
+		m.synAckRetry()
+	case stFinWait:
 		m.abortWith(trace.ReasonFinTimeout) // give up after one retry interval
 	}
 }
 
-func (m *Machine) armConnRetry(fn func()) {
+// armConnRetry (re)arms the handshake/teardown retry timer one RTO out.
+func (m *Machine) armConnRetry() {
 	if m.connTimer != nil {
 		m.connTimer.Stop()
 	}
-	m.connTimer = m.env.After(m.rtt.RTO(), fn)
+	if m.connRetryFn == nil {
+		m.connRetryFn = m.onConnRetry
+	}
+	m.connTimer = m.env.After(m.rtt.RTO(), m.connRetryFn)
 }
 
 // establish transitions to the established state exactly once.
@@ -418,12 +420,16 @@ func (m *Machine) Close() {
 	m.maybeFinish()
 }
 
-// maybeFinish sends FIN when the send pipeline is empty.
+// maybeFinish sends FIN when the send pipeline is empty: nothing queued and
+// the cumulative ack past everything sent. Sacked or skipped packets still
+// in the flight do not count as done here — the peer may be parking the
+// sacked ones behind a skipped hole until the forward point reaches it, and
+// a FIN would make it drop them.
 func (m *Machine) maybeFinish() {
 	if !m.closing || m.state != stEstablished {
 		return
 	}
-	if m.pendingLen() > 0 || m.inFlightCount() > 0 {
+	if m.pendingLen() > 0 || len(m.flight) > 0 {
 		return
 	}
 	// Flush the open partial repair group before the FIN so the flow's tail
@@ -437,7 +443,7 @@ func (m *Machine) maybeFinish() {
 		TS: m.env.Now(),
 	}
 	m.env.Emit(&m.out)
-	m.armConnRetry(m.finRetryFn)
+	m.armConnRetry()
 }
 
 // Abort tears the machine down immediately — no FIN exchange, no drain.
@@ -503,6 +509,7 @@ func (m *Machine) startLiveness() {
 		return
 	}
 	m.liveInterval = interval
+	m.liveFn = m.onLiveTick
 	m.liveTimer = m.env.After(interval, m.liveFn)
 }
 
@@ -539,12 +546,12 @@ func (m *Machine) NoteTxError(n uint64, err error) {
 		return
 	}
 	m.metrics.TxErrors += n
-	if m.tr != nil {
+	if m.tracing() {
 		reason := ""
 		if err != nil {
 			reason = err.Error()
 		}
-		m.tr.Trace(trace.Event{
+		m.trace(trace.Event{
 			Time: m.env.Now(), Type: trace.TxError, ConnID: m.connID,
 			Size: int(n), Reason: reason,
 		})
@@ -616,12 +623,12 @@ func (m *Machine) handleSyn(p *packet.Packet) {
 		// restarts the retry budget — only a peer that goes silent mid-
 		// handshake exhausts it (see synAckRetry).
 		m.synAckTries = 0
-		m.armConnRetry(m.synAckRetry)
+		m.armConnRetry()
 	}
 }
 
 func (m *Machine) sendSynAck(tsEcho time.Duration) {
-	m.env.Emit(&packet.Packet{
+	m.out = packet.Packet{
 		Type:   packet.SYNACK,
 		ConnID: m.connID,
 		Seq:    m.sndISN,
@@ -630,18 +637,20 @@ func (m *Machine) sendSynAck(tsEcho time.Duration) {
 		TS:     m.env.Now(),
 		TSEcho: tsEcho,
 		Attrs:  m.handshakeAttrs(),
-	})
+	}
+	m.env.Emit(&m.out)
 }
 
-// handshakeAttrs builds the attribute list both handshake legs carry: the
+// handshakeAttrs fills the attribute list both handshake legs carry: the
 // local receiver's loss tolerance, plus its FEC decode preference when
-// repair is enabled.
+// repair is enabled. The list is the machine's own, updated in place: Set
+// keeps first-insertion order, so every leg encodes the same layout.
 func (m *Machine) handshakeAttrs() *attr.List {
-	l := attr.NewList(attr.Attr{Name: attr.LossTolerance, Value: attr.Float(m.localTol)})
+	m.hsAttrs.Set(attr.LossTolerance, attr.Float(m.localTol))
 	if m.cfg.FECGroup > 0 {
-		l.Set(attr.FECGroup, attr.Int(int64(m.cfg.FECGroup)))
+		m.hsAttrs.Set(attr.FECGroup, attr.Int(int64(m.cfg.FECGroup)))
 	}
-	return l
+	return &m.hsAttrs
 }
 
 // maxSynAckRetries bounds SYNACK retransmissions toward a silent initiator.
@@ -652,16 +661,13 @@ func (m *Machine) handshakeAttrs() *attr.List {
 const maxSynAckRetries = 8
 
 func (m *Machine) synAckRetry() {
-	if m.state != stSynRcvd {
-		return
-	}
 	m.synAckTries++
 	if m.synAckTries > maxSynAckRetries {
 		m.abortWith(trace.ReasonHandshakeTimeout)
 		return
 	}
 	m.sendSynAck(0)
-	m.armConnRetry(m.synAckRetry)
+	m.armConnRetry()
 }
 
 //iqlint:borrow

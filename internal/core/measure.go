@@ -19,17 +19,17 @@ type measurement struct {
 	lost  uint64 // losses detected this period
 	bytes uint64 // acked bytes this period
 
-	smoothedRatio *stats.EWMA
+	smoothedRatio stats.EWMA
 	raw           float64
 	lastRate      float64
 	running       bool
-	tickFn        func() // cached onTick method value (no per-arm closure)
+	tickFn        func() // cached onTick method value, bound at the first arm
 }
 
-func newMeasurement(m *Machine) *measurement {
-	me := &measurement{m: m, smoothedRatio: stats.NewEWMA(m.cfg.LossRatioAlpha)}
-	me.tickFn = me.onTick
-	return me
+// init readies the measurement loop of machine m.
+func (me *measurement) init(m *Machine) {
+	me.m = m
+	me.smoothedRatio = *stats.NewEWMA(m.cfg.LossRatioAlpha)
 }
 
 func (me *measurement) onSend(n uint64)       { me.sent += n }
@@ -52,6 +52,9 @@ func (me *measurement) start() {
 func (me *measurement) stop() { me.running = false }
 
 func (me *measurement) arm() {
+	if me.tickFn == nil {
+		me.tickFn = me.onTick
+	}
 	me.m.measTicker = me.m.env.After(me.m.cfg.MeasurementPeriod, me.tickFn)
 }
 
@@ -92,8 +95,8 @@ func (me *measurement) tick() {
 	m.reg.Set(attr.NetCwnd, attr.Float(m.cc.Window()))
 	m.reg.Set(attr.NetRetrans, attr.Int(int64(m.metrics.Retransmits)))
 
-	if m.tr != nil {
-		m.tr.Trace(trace.Event{
+	if m.tracing() {
+		m.trace(trace.Event{
 			Time: m.env.Now(), Type: trace.MeasurementPeriod, ConnID: m.connID,
 			RawRatio: me.raw, ErrorRatio: me.smoothed(), RateBps: me.lastRate,
 			SRTT: m.rtt.SRTT(), Cwnd: m.cc.Window(),
@@ -153,7 +156,7 @@ func (me *measurement) fireCallbacks() {
 // it returned.
 func (me *measurement) traceCallback(which string, rep *AdaptationReport) {
 	m := me.m
-	if m.tr == nil {
+	if !m.tracing() {
 		return
 	}
 	ev := trace.Event{
@@ -165,5 +168,5 @@ func (me *measurement) traceCallback(which string, rep *AdaptationReport) {
 		ev.Degree = rep.Degree
 		ev.WhenFrames = rep.WhenFrames
 	}
-	m.tr.Trace(ev)
+	m.trace(ev)
 }

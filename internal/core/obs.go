@@ -13,7 +13,7 @@ import (
 // configured without them pays one untaken branch per decision point and
 // constructs nothing.
 
-// Hists bundles the machine's four distribution metrics. Build it with
+// Hists bundles the machine's distribution metrics. Build it with
 // NewHists; the individual histograms are lock-free, so one Hists may be
 // shared by any number of connections (fleet-wide aggregation) or kept
 // per-connection (flight-record summaries) — recording is two atomic adds
@@ -33,22 +33,39 @@ type Hists struct {
 	// FecRepair records hole-open→reconstruction latency of packets the FEC
 	// repair layer recovered (receiver side, single clock).
 	FecRepair *hist.Hist
+
+	// block holds the histograms above; their buckets are carved from one
+	// shared array (see hist.Carve).
+	block [5]hist.Hist
 }
 
-// NewHists builds the standard machine histogram set.
+// NewHists builds the standard machine histogram set in two allocations:
+// the set itself and one bucket array shared by its five histograms.
 func NewHists() *Hists {
-	return &Hists{
-		RTT:       hist.NewLatency(hist.MetricRTT),
-		Delivery:  hist.NewLatency(hist.MetricDelivery),
-		AckDelay:  hist.NewLatency(hist.MetricAckDelay),
-		Backlog:   hist.NewDepth(hist.MetricBacklog),
-		FecRepair: hist.NewLatency(hist.MetricFecRepair),
-	}
+	h := &Hists{}
+	hist.Carve(h.block[:],
+		hist.LatencySpec(hist.MetricRTT),
+		hist.LatencySpec(hist.MetricDelivery),
+		hist.LatencySpec(hist.MetricAckDelay),
+		hist.DepthSpec(hist.MetricBacklog),
+		hist.LatencySpec(hist.MetricFecRepair))
+	h.RTT, h.Delivery, h.AckDelay, h.Backlog, h.FecRepair = &h.block[0], &h.block[1], &h.block[2], &h.block[3], &h.block[4]
+	return h
 }
 
 // all returns the histograms in declaration order.
 func (h *Hists) all() [5]*hist.Hist {
 	return [5]*hist.Hist{h.RTT, h.Delivery, h.AckDelay, h.Backlog, h.FecRepair}
+}
+
+// Add folds every histogram of other into the same metric of h (see
+// hist.Hist.Add): atomic adds, no allocation. The serve engine archives
+// each closing connection's set this way.
+func (h *Hists) Add(other *Hists) {
+	dst, src := h.all(), other.all()
+	for i := range dst {
+		dst[i].Add(src[i])
+	}
 }
 
 // Snapshots copies the current state of every histogram.

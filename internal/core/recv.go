@@ -49,13 +49,16 @@ func (m *Machine) handleData(p *packet.Packet) {
 		reason = trace.ReasonOOO
 		if len(m.ooo) < int(m.cfg.RecvWindow) {
 			if _, dup := m.ooo[p.Seq]; !dup {
+				if m.ooo == nil {
+					m.ooo = make(map[uint32]*packet.Packet)
+				}
 				m.ooo[p.Seq] = clonePacket(p)
 				m.memAdd(guard.ClassOOO, len(p.Payload))
 			}
 		}
 	}
-	if m.tr != nil {
-		m.tr.Trace(trace.Event{
+	if m.tracing() {
+		m.trace(trace.Event{
 			Time: m.env.Now(), Type: trace.PacketReceived, ConnID: m.connID,
 			Seq: p.Seq, MsgID: p.MsgID, Size: len(p.Payload),
 			Marked: p.Marked(), Reason: reason,
@@ -154,8 +157,6 @@ type reassembler struct {
 	orphanSkips int // skipped seqs not attributable to an active message
 	accounted   int // bytes charged to the shared ledger (Config.Mem)
 }
-
-func newReassembler(m *Machine) *reassembler { return &reassembler{m: m} }
 
 // addFragment consumes the next in-order fragment, copying its payload into
 // the message buffer (the packet is borrowed and may be reused by the caller).
@@ -313,8 +314,8 @@ func (m *Machine) appendSortedEacks(dst []uint32, limit int) []uint32 {
 		// retransmit data the receiver already holds. Surface the clip
 		// instead of truncating silently.
 		m.metrics.EackClips++
-		if m.tr != nil {
-			m.tr.Trace(trace.Event{
+		if m.tracing() {
+			m.trace(trace.Event{
 				Time: m.env.Now(), Type: trace.EackClipped, ConnID: m.connID,
 				Size: len(out) - limit,
 			})

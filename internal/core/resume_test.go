@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"testing"
+	"time"
 
+	"github.com/cercs/iqrudp/internal/attr"
 	"github.com/cercs/iqrudp/internal/packet"
 )
 
@@ -74,5 +76,78 @@ func TestCarryoverExcludesCumAcked(t *testing.T) {
 	}
 	if !bytes.Equal(carry[0], []byte("stranded")) {
 		t.Fatalf("carry[0] = %q, want \"stranded\"", carry[0])
+	}
+}
+
+// The same rule holds for an orderly close: a FIN must not overtake data
+// the receiver still parks out of order. Here an unmarked message is
+// abandoned unsent (its deadline passed while the window was full), so
+// nothing counts as in flight once the marked message behind it is sacked
+// — yet the receiver cannot deliver that message until the forward point
+// reaches it. A FIN sent now would make the receiver drop its out-of-order
+// buffer, and the marked message with it; the FIN must wait for the
+// cumulative ack to cover the whole flight.
+func TestFinWaitsForCumulativeAck(t *testing.T) {
+	m, env := establishedMachine(DefaultConfig())
+	dataSeqs := func() []uint32 {
+		var seqs []uint32
+		for _, p := range env.emitted {
+			if p.Type == packet.DATA {
+				seqs = append(seqs, p.Seq)
+			}
+		}
+		return seqs
+	}
+	finSent := func() bool {
+		for _, p := range env.emitted {
+			if p.Type == packet.FIN {
+				return true
+			}
+		}
+		return false
+	}
+	// Two marked messages fill the initial window; an unmarked one with a
+	// 1 ms deadline and a marked one queue behind them.
+	for _, msg := range []string{"x", "y"} {
+		if err := m.Send([]byte(msg), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := attr.NewList(attr.Attr{Name: attr.Deadline, Value: attr.Float(0.001)})
+	if err := m.SendMsg([]byte("late"), false, deadline); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Send([]byte("parked"), true); err != nil {
+		t.Fatal(err)
+	}
+	if seqs := dataSeqs(); len(seqs) != 2 {
+		t.Fatalf("emitted %d DATA packets before the window opened, want 2", len(seqs))
+	}
+	env.now += 10 * time.Millisecond // the unmarked message's deadline passes
+
+	// Cumulative ack of both: the unmarked message is abandoned unsent and
+	// the marked one behind it goes out.
+	seqs := dataSeqs()
+	m.HandlePacket(&packet.Packet{Type: packet.ACK, Ack: seqs[1] + 1, Wnd: 64})
+	seqs = dataSeqs()
+	if len(seqs) != 3 || seqs[2] != seqs[1]+2 {
+		t.Fatalf("DATA seqs %v: want the unmarked message skipped unsent", seqs)
+	}
+	parked := seqs[2]
+	// The receiver parks it out of order: sacked, cumulative ack still at
+	// the abandoned seq.
+	m.HandlePacket(&packet.Packet{Type: packet.EACK, Ack: parked - 1, Wnd: 64, Eacks: []uint32{parked}})
+	if got := m.Metrics().InFlight; got != 0 {
+		t.Fatalf("InFlight = %d, want 0 (skipped + sacked)", got)
+	}
+
+	m.Close()
+	if finSent() {
+		t.Fatal("FIN sent while the receiver still parks sacked data behind a skipped packet")
+	}
+	// The forward point lands and the cumulative ack covers the flight.
+	m.HandlePacket(&packet.Packet{Type: packet.ACK, Ack: parked + 1, Wnd: 64})
+	if !finSent() {
+		t.Fatal("FIN not sent once the whole flight was acknowledged")
 	}
 }

@@ -43,10 +43,10 @@ func (m *Machine) SendMsg(data []byte, marked bool, attrs *attr.List) error {
 	if !marked && m.coo.discardUnmarked() && m.withinTolerance(1) {
 		m.relMsgsDropped++
 		m.metrics.SenderDiscards++
-		if m.tr != nil {
+		if m.tracing() {
 			// The message dies before segmentation, so it never gets a
 			// sequence number or message id.
-			m.tr.Trace(trace.Event{
+			m.trace(trace.Event{
 				Time: m.env.Now(), Type: trace.PacketAbandoned, ConnID: m.connID,
 				Size: len(data), Reason: trace.ReasonCase1Discard,
 			})
@@ -136,8 +136,8 @@ func (m *Machine) shedIngress(size int) {
 	m.relMsgsDropped++
 	m.metrics.ShedMsgs++
 	m.metrics.ShedBytes += uint64(size)
-	if m.tr != nil {
-		m.tr.Trace(trace.Event{
+	if m.tracing() {
+		m.trace(trace.Event{
 			Time: m.env.Now(), Type: trace.ShedUnmarked, ConnID: m.connID,
 			Size: size, Reason: trace.ReasonShedIngress,
 		})
@@ -159,15 +159,13 @@ func (m *Machine) shedBacklog(need int) {
 			break
 		}
 		m.popPending()
-		if !m.skippedMsgs[sp.msgID] {
-			m.skippedMsgs[sp.msgID] = true
-			m.relMsgsDropped++
+		if m.chargeSkip(sp.msgID) {
 			m.metrics.ShedMsgs++
 		}
 		sp.skipped = true
 		m.metrics.ShedPackets++
 		m.metrics.ShedBytes += uint64(len(sp.payload))
-		if m.tr != nil {
+		if m.tracing() {
 			m.tracePacket(trace.ShedUnmarked, sp, trace.ReasonShedQueue)
 		}
 		m.flight = append(m.flight, sp)
@@ -196,14 +194,19 @@ func (m *Machine) getSendPkt() *sendPkt {
 func (m *Machine) putSendPkt(sp *sendPkt) {
 	sp.payload = nil
 	sp.attrs = nil
-	if len(m.spFree) < spFreeMax {
+	if len(m.spFree) < m.maxFlight() {
 		m.spFree = append(m.spFree, sp)
 	}
 }
 
-// spFreeMax bounds the sendPkt freelist: enough for a full default
-// congestion + receive window without letting an idle connection pin memory.
-const spFreeMax = 256
+// maxFlight is the largest flight the machine can hold: MaxCwnd capped by
+// the peer's advertised window (at least one packet, as in
+// effectiveWindow). It bounds the sendPkt freelist, so a sender running a
+// full window recycles every sendPkt without an idle connection pinning
+// more than one window of them.
+func (m *Machine) maxFlight() int {
+	return int(min(m.cfg.MaxCwnd, max(float64(m.peerWnd), 1)))
+}
 
 // popPending removes and returns the head of the untransmitted queue. A head
 // index is used instead of reslicing so the backing array is reused once the
@@ -286,13 +289,10 @@ func (m *Machine) trySend() {
 		// Expired unmarked data is abandoned before its first transmission
 		// (deadline-based partial reliability), tolerance permitting.
 		if sp.deadline > 0 && !sp.marked() && m.env.Now() > sp.deadline && m.canSkipFragment(sp) {
-			if !m.skippedMsgs[sp.msgID] {
-				m.skippedMsgs[sp.msgID] = true
-				m.relMsgsDropped++
-			}
+			m.chargeSkip(sp.msgID)
 			sp.skipped = true
 			m.metrics.DeadlineDrops++
-			if m.tr != nil {
+			if m.tracing() {
 				m.tracePacket(trace.PacketAbandoned, sp, trace.ReasonDeadline)
 			}
 			m.flight = append(m.flight, sp)
@@ -323,13 +323,10 @@ func (m *Machine) pacedSend() {
 	for m.pendingLen() > 0 && float64(m.inFlightCount()) < m.effectiveWindow() {
 		sp := m.popPending()
 		if sp.deadline > 0 && !sp.marked() && m.env.Now() > sp.deadline && m.canSkipFragment(sp) {
-			if !m.skippedMsgs[sp.msgID] {
-				m.skippedMsgs[sp.msgID] = true
-				m.relMsgsDropped++
-			}
+			m.chargeSkip(sp.msgID)
 			sp.skipped = true
 			m.metrics.DeadlineDrops++
-			if m.tr != nil {
+			if m.tracing() {
 				m.tracePacket(trace.PacketAbandoned, sp, trace.ReasonDeadline)
 			}
 			m.flight = append(m.flight, sp)
@@ -346,6 +343,9 @@ func (m *Machine) pacedSend() {
 			if interval < 100*time.Microsecond {
 				interval = 100 * time.Microsecond
 			}
+		}
+		if m.paceFn == nil {
+			m.paceFn = m.onPaceGap
 		}
 		m.paceTimer = m.env.After(interval, m.paceFn)
 		return
@@ -375,7 +375,7 @@ func (m *Machine) transmit(sp *sendPkt, isRtx bool) {
 	if isRtx {
 		m.metrics.Retransmits++
 	}
-	if m.tr != nil {
+	if m.tracing() {
 		typ := trace.PacketSent
 		if isRtx {
 			typ = trace.PacketRetransmitted
@@ -460,7 +460,7 @@ func (m *Machine) handleAck(p *packet.Packet) {
 				if m.hs != nil {
 					m.hs.AckDelay.RecordDur(now - sp.sentAt)
 				}
-				if m.tr != nil {
+				if m.tracing() {
 					m.tracePacket(trace.PacketAcked, sp, "")
 				}
 			}
@@ -503,7 +503,7 @@ func (m *Machine) handleAck(p *packet.Packet) {
 				}
 				m.meas.onAckedBytes(uint64(len(sp.payload)))
 				m.metrics.AckedBytes += uint64(len(sp.payload))
-				if m.tr != nil {
+				if m.tracing() {
 					m.tracePacket(trace.PacketAcked, sp, trace.ReasonEack)
 				}
 			}
@@ -616,7 +616,7 @@ func (m *Machine) onPacketLost(sp *sendPkt) {
 		return
 	}
 	now := m.env.Now()
-	if m.tr != nil {
+	if m.tracing() {
 		m.tracePacket(trace.PacketLost, sp, trace.ReasonFast)
 	}
 	m.meas.onLoss(1)
@@ -643,19 +643,31 @@ func (m *Machine) canSkipFragment(sp *sendPkt) bool {
 	return m.withinTolerance(1)
 }
 
+// chargeSkip records that message msgID lost a fragment to skipping,
+// charging the message to the tolerance budget on its first skip. It
+// reports whether this was that first skip.
+func (m *Machine) chargeSkip(msgID uint32) bool {
+	if m.skippedMsgs[msgID] {
+		return false
+	}
+	if m.skippedMsgs == nil {
+		m.skippedMsgs = make(map[uint32]bool)
+	}
+	m.skippedMsgs[msgID] = true
+	m.relMsgsDropped++
+	return true
+}
+
 // skipPacket abandons an unmarked packet: the receiver is told to advance
 // past it via the forward-seq mechanism.
 func (m *Machine) skipPacket(sp *sendPkt) {
-	if !m.skippedMsgs[sp.msgID] {
-		m.skippedMsgs[sp.msgID] = true
-		m.relMsgsDropped++
-	}
+	m.chargeSkip(sp.msgID)
 	if !sp.done() {
 		m.inFlight--
 	}
 	sp.skipped = true
 	m.metrics.SkippedPackets++
-	if m.tr != nil {
+	if m.tracing() {
 		m.tracePacket(trace.PacketAbandoned, sp, trace.ReasonSkip)
 	}
 	m.advanceFwd()
@@ -718,7 +730,7 @@ func (m *Machine) armRtx() {
 			m.stopRtx()
 			m.rtxIsProbe = true
 			m.rtxAt = m.env.Now() + m.rtt.RTO()
-			m.rtxTimer = m.env.After(m.rtt.RTO(), m.rtxExpireFn)
+			m.afterRtx(m.rtt.RTO())
 			return
 		}
 		// An armed RTO timer is left in place rather than cancelled: its
@@ -740,7 +752,15 @@ func (m *Machine) armRtx() {
 		delay = 0
 	}
 	m.rtxAt = deadline
-	m.rtxTimer = m.env.After(delay, m.rtxExpireFn)
+	m.afterRtx(delay)
+}
+
+// afterRtx arms the retransmission timer d from now.
+func (m *Machine) afterRtx(d time.Duration) {
+	if m.rtxExpireFn == nil {
+		m.rtxExpireFn = m.onRtxExpire
+	}
+	m.rtxTimer = m.env.After(d, m.rtxExpireFn)
 }
 
 // stopRtx cancels the retransmission timer and clears its deadline state.
@@ -802,8 +822,8 @@ func (m *Machine) onRtxTimeout() {
 		m.armRtx()
 		return
 	}
-	if m.tr != nil {
-		m.tr.Trace(trace.Event{
+	if m.tracing() {
+		m.trace(trace.Event{
 			Time: now, Type: trace.RTOFired, ConnID: m.connID,
 			Seq: earliest.seq, MsgID: earliest.msgID,
 			RTO: m.rtt.RTO(), SRTT: m.rtt.SRTT(),

@@ -9,12 +9,27 @@ import (
 // This file concentrates the machine's observability instrumentation: thin
 // wrappers that emit trace events around state transitions, congestion-
 // window changes and retransmission-timer activity. Every emission sits
-// behind a nil check on m.tr, so a machine without a Tracer constructs no
-// events and pays one untaken branch per decision point.
+// behind m.tracing(), so a machine with neither a Tracer nor a flight ring
+// constructs no events and pays one untaken branch per decision point.
+
+// tracing reports whether any event sink is attached: Config.Tracer or the
+// flight-recorder ring.
+func (m *Machine) tracing() bool { return m.tr != nil || m.flightRing != nil }
+
+// trace hands ev to Config.Tracer and then to the flight ring, each when
+// present — directly, with no fan-out wrapper between them.
+func (m *Machine) trace(ev trace.Event) {
+	if m.tr != nil {
+		m.tr.Trace(ev)
+	}
+	if m.flightRing != nil {
+		m.flightRing.Trace(ev)
+	}
+}
 
 // tracePacket emits a packet-lifecycle event.
 func (m *Machine) tracePacket(t trace.Type, sp *sendPkt, reason string) {
-	m.tr.Trace(trace.Event{
+	m.trace(trace.Event{
 		Time:   m.env.Now(),
 		Type:   t,
 		ConnID: m.connID,
@@ -29,7 +44,7 @@ func (m *Machine) tracePacket(t trace.Type, sp *sendPkt, reason string) {
 // traceCwnd emits a window-update event with the LDA inputs that produced
 // it (smoothed error ratio and SRTT at the decision).
 func (m *Machine) traceCwnd(prev, now float64, reason string) {
-	m.tr.Trace(trace.Event{
+	m.trace(trace.Event{
 		Time:       m.env.Now(),
 		Type:       trace.CwndUpdate,
 		ConnID:     m.connID,
@@ -50,8 +65,8 @@ func (m *Machine) setStateReason(s connState, reason string) {
 	if m.state == s {
 		return
 	}
-	if m.tr != nil {
-		m.tr.Trace(trace.Event{
+	if m.tracing() {
+		m.trace(trace.Event{
 			Time:   m.env.Now(),
 			Type:   trace.ConnState,
 			ConnID: m.connID,
@@ -65,7 +80,7 @@ func (m *Machine) setStateReason(s connState, reason string) {
 
 // ccOnAck grows the window for newly acked packets, tracing any change.
 func (m *Machine) ccOnAck(n int, limited bool) {
-	if m.tr == nil {
+	if !m.tracing() {
 		m.cc.OnAck(n, limited)
 		return
 	}
@@ -78,7 +93,7 @@ func (m *Machine) ccOnAck(n int, limited bool) {
 
 // ccOnLoss applies the loss-proportional decrease, tracing any change.
 func (m *Machine) ccOnLoss(now time.Duration) {
-	if m.tr == nil {
+	if !m.tracing() {
 		m.cc.OnLoss(now, m.rtt.SRTT(), m.meas.smoothed())
 		return
 	}
@@ -91,7 +106,7 @@ func (m *Machine) ccOnLoss(now time.Duration) {
 
 // ccOnTimeout collapses the window after an RTO, tracing any change.
 func (m *Machine) ccOnTimeout(now time.Duration) {
-	if m.tr == nil {
+	if !m.tracing() {
 		m.cc.OnTimeout(now)
 		return
 	}
@@ -104,7 +119,7 @@ func (m *Machine) ccOnTimeout(now time.Duration) {
 
 // ccRescale applies a coordination window rescale, tracing any change.
 func (m *Machine) ccRescale(factor float64) {
-	if m.tr == nil {
+	if !m.tracing() {
 		m.cc.Rescale(factor)
 		return
 	}
@@ -118,8 +133,8 @@ func (m *Machine) ccRescale(factor float64) {
 // rttBackoff doubles the RTO (Karn's backoff), tracing the new value.
 func (m *Machine) rttBackoff(reason string) {
 	m.rtt.Backoff()
-	if m.tr != nil {
-		m.tr.Trace(trace.Event{
+	if m.tracing() {
+		m.trace(trace.Event{
 			Time:   m.env.Now(),
 			Type:   trace.RTOBackoff,
 			ConnID: m.connID,

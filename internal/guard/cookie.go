@@ -5,7 +5,9 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
+	"hash"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 )
@@ -29,12 +31,19 @@ const (
 // its full validity window. Secrets are random at construction (a restart
 // invalidates outstanding cookies, which only costs those dialers one extra
 // round trip).
+//
+// Each secret slot holds one keyed HMAC, built when the slot's secret is
+// drawn and Reset before every use. The MAC state, the message and the sum
+// are shared scratch guarded by mu, so minting and verifying allocate
+// nothing.
 type CookieSource struct {
 	mu       sync.Mutex
 	lifetime time.Duration
-	keys     [2][cookieKeyLen]byte
-	cur      int       // index of the signing key
-	rotated  time.Time // when keys[cur] became the signing key
+	macs     [2]hash.Hash // keyed HMAC-SHA256 per secret slot
+	cur      int          // index of the signing slot
+	rotated  time.Time    // when macs[cur] became the signing slot
+	msg      [16 + 2 + 4 + 4]byte
+	sum      [sha256.Size]byte
 }
 
 // NewCookieSource builds a source whose cookies are valid for lifetime
@@ -44,48 +53,40 @@ func NewCookieSource(lifetime time.Duration) *CookieSource {
 		lifetime = 15 * time.Second
 	}
 	s := &CookieSource{lifetime: lifetime, rotated: time.Now()}
-	for i := range s.keys {
-		if _, err := rand.Read(s.keys[i][:]); err != nil {
-			panic("guard: no entropy for cookie secrets: " + err.Error())
-		}
+	for i := range s.macs {
+		s.rekey(i)
 	}
 	return s
 }
 
-// key returns the signing slot index for minting (rotating first if the
-// current secret has aged out) or the key bytes for keyID when verifying.
-func (s *CookieSource) signingKey(now time.Time) (int, [cookieKeyLen]byte) {
+// rekey draws a fresh secret for slot i and keys its HMAC with it.
+func (s *CookieSource) rekey(i int) {
+	var key [cookieKeyLen]byte
+	if _, err := rand.Read(key[:]); err != nil {
+		panic("guard: no entropy for cookie secrets: " + err.Error())
+	}
+	s.macs[i] = hmac.New(sha256.New, key[:])
+}
+
+// MintInto writes a fresh cookie binding (addr, connID) until now +
+// lifetime into dst, rotating the signing secret first if it has aged out.
+func (s *CookieSource) MintInto(dst *[CookieLen]byte, addr netip.AddrPort, connID uint32, now time.Time) {
+	expiry := uint32(now.Add(s.lifetime).Unix())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if now.Sub(s.rotated) >= s.lifetime {
 		s.cur ^= 1
-		if _, err := rand.Read(s.keys[s.cur][:]); err != nil {
-			panic("guard: no entropy for cookie rotation: " + err.Error())
-		}
+		s.rekey(s.cur)
 		s.rotated = now
 	}
-	return s.cur, s.keys[s.cur]
+	dst[0] = byte(s.cur)
+	binary.BigEndian.PutUint32(dst[1:5], expiry)
+	copy(dst[5:], s.macLocked(s.cur, addr, connID, expiry))
 }
 
-func (s *CookieSource) keyByID(id int) [cookieKeyLen]byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.keys[id]
-}
-
-// Mint returns a fresh cookie binding (addr, connID) until now + lifetime.
-func (s *CookieSource) Mint(addr *net.UDPAddr, connID uint32, now time.Time) []byte {
-	id, key := s.signingKey(now)
-	expiry := uint32(now.Add(s.lifetime).Unix())
-	c := make([]byte, 0, CookieLen)
-	c = append(c, byte(id))
-	c = binary.BigEndian.AppendUint32(c, expiry)
-	return append(c, cookieMAC(key, addr, connID, expiry)...)
-}
-
-// Verify reports whether cookie is an unexpired cookie this source minted
-// for (addr, connID).
-func (s *CookieSource) Verify(cookie []byte, addr *net.UDPAddr, connID uint32, now time.Time) bool {
+// VerifyAddr reports whether cookie is an unexpired cookie this source
+// minted for (addr, connID).
+func (s *CookieSource) VerifyAddr(cookie []byte, addr netip.AddrPort, connID uint32, now time.Time) bool {
 	if len(cookie) != CookieLen || cookie[0] > 1 {
 		return false
 	}
@@ -93,17 +94,35 @@ func (s *CookieSource) Verify(cookie []byte, addr *net.UDPAddr, connID uint32, n
 	if now.Unix() > int64(expiry) {
 		return false
 	}
-	key := s.keyByID(int(cookie[0]))
-	return hmac.Equal(cookie[5:], cookieMAC(key, addr, connID, expiry))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return hmac.Equal(cookie[5:], s.macLocked(int(cookie[0]), addr, connID, expiry))
 }
 
-func cookieMAC(key [cookieKeyLen]byte, addr *net.UDPAddr, connID uint32, expiry uint32) []byte {
-	mac := hmac.New(sha256.New, key[:])
-	var msg [16 + 2 + 4 + 4]byte
-	copy(msg[:16], addr.IP.To16())
-	binary.BigEndian.PutUint16(msg[16:], uint16(addr.Port))
-	binary.BigEndian.PutUint32(msg[18:], connID)
-	binary.BigEndian.PutUint32(msg[22:], expiry)
-	mac.Write(msg[:])
-	return mac.Sum(nil)[:cookieMACLen]
+// macLocked computes slot's truncated MAC over (addr, connID, expiry) into
+// the source's scratch sum and returns it. The address enters as its
+// 16-byte form (IPv4 v4-mapped). Called with mu held.
+func (s *CookieSource) macLocked(slot int, addr netip.AddrPort, connID uint32, expiry uint32) []byte {
+	ip := addr.Addr().As16()
+	copy(s.msg[:16], ip[:])
+	binary.BigEndian.PutUint16(s.msg[16:], addr.Port())
+	binary.BigEndian.PutUint32(s.msg[18:], connID)
+	binary.BigEndian.PutUint32(s.msg[22:], expiry)
+	mac := s.macs[slot]
+	mac.Reset()
+	mac.Write(s.msg[:])
+	return mac.Sum(s.sum[:0])[:cookieMACLen]
+}
+
+// Mint is MintInto for callers holding a *net.UDPAddr, returning the cookie
+// in a fresh slice (perfbench's guard ledger times this form).
+func (s *CookieSource) Mint(addr *net.UDPAddr, connID uint32, now time.Time) []byte {
+	var c [CookieLen]byte
+	s.MintInto(&c, addr.AddrPort(), connID, now)
+	return c[:]
+}
+
+// Verify is VerifyAddr for callers holding a *net.UDPAddr.
+func (s *CookieSource) Verify(cookie []byte, addr *net.UDPAddr, connID uint32, now time.Time) bool {
+	return s.VerifyAddr(cookie, addr.AddrPort(), connID, now)
 }

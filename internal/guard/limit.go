@@ -2,6 +2,7 @@ package guard
 
 import (
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 )
@@ -58,7 +59,7 @@ type PrefixLimiter struct {
 	mu      sync.Mutex
 	rate    float64
 	max     int
-	buckets map[string]*TokenBucket
+	buckets map[PrefixKey]*TokenBucket
 }
 
 // NewPrefixLimiter builds a limiter allowing rate events/s (burst equal to
@@ -70,11 +71,11 @@ func NewPrefixLimiter(rate float64, maxPrefixes int) *PrefixLimiter {
 	if maxPrefixes <= 0 {
 		maxPrefixes = 4096
 	}
-	return &PrefixLimiter{rate: rate, max: maxPrefixes, buckets: make(map[string]*TokenBucket)}
+	return &PrefixLimiter{rate: rate, max: maxPrefixes, buckets: make(map[PrefixKey]*TokenBucket)}
 }
 
-// Allow consumes one token from ip's prefix bucket.
-func (pl *PrefixLimiter) Allow(ip net.IP, now time.Time) bool {
+// AllowAddr consumes one token from ip's prefix bucket.
+func (pl *PrefixLimiter) AllowAddr(ip netip.Addr, now time.Time) bool {
 	if pl == nil {
 		return true
 	}
@@ -83,7 +84,7 @@ func (pl *PrefixLimiter) Allow(ip net.IP, now time.Time) bool {
 	b, ok := pl.buckets[key]
 	if !ok {
 		if len(pl.buckets) >= pl.max {
-			pl.buckets = make(map[string]*TokenBucket)
+			pl.buckets = make(map[PrefixKey]*TokenBucket)
 		}
 		b = NewTokenBucket(pl.rate, pl.rate)
 		pl.buckets[key] = b
@@ -92,14 +93,33 @@ func (pl *PrefixLimiter) Allow(ip net.IP, now time.Time) bool {
 	return b.Allow(now)
 }
 
-// Prefix returns the limiter's aggregation key for ip: the /24 for IPv4,
-// the /48 for IPv6, or the full address when ip is malformed.
-func Prefix(ip net.IP) string {
-	if v4 := ip.To4(); v4 != nil {
-		return string(v4[:3])
+// Allow is AllowAddr for callers holding a net.IP (perfbench's guard
+// ledger times this form). A malformed ip shares the invalid address's
+// bucket.
+func (pl *PrefixLimiter) Allow(ip net.IP, now time.Time) bool {
+	a, _ := netip.AddrFromSlice(ip)
+	return pl.AllowAddr(a, now)
+}
+
+// PrefixKey is the limiter's fixed-size aggregation key: an address family
+// tag followed by the prefix bytes.
+type PrefixKey [7]byte
+
+// Prefix returns the limiter's aggregation key for ip: the /24 for IPv4
+// (including v4-mapped IPv6), the /48 for IPv6, and the zero key for the
+// invalid address.
+func Prefix(ip netip.Addr) PrefixKey {
+	var k PrefixKey
+	ip = ip.Unmap()
+	switch {
+	case ip.Is4():
+		a := ip.As4()
+		k[0] = 4
+		copy(k[1:], a[:3])
+	case ip.Is6():
+		a := ip.As16()
+		k[0] = 6
+		copy(k[1:], a[:6])
 	}
-	if v6 := ip.To16(); v6 != nil {
-		return string(v6[:6])
-	}
-	return string(ip)
+	return k
 }

@@ -104,13 +104,57 @@ type Hist struct {
 // one-bucket degenerate histogram; callers should use the New*Hist
 // constructors for the standard metrics.
 func New(name string, unit Unit, max uint64) *Hist {
-	n := bucketIndex(max) + 2 // + last in-range bucket, + overflow
 	return &Hist{
 		name:   name,
 		unit:   unit,
 		limit:  max,
-		counts: make([]atomic.Uint64, n),
+		counts: make([]atomic.Uint64, bucketCount(max)),
 	}
+}
+
+// bucketCount is the bucket-array length of a histogram covering [0, max]:
+// every in-range bucket plus the overflow bucket.
+func bucketCount(max uint64) int { return bucketIndex(max) + 2 }
+
+// Spec describes one histogram of a block built by Carve.
+type Spec struct {
+	Name string
+	Unit Unit
+	Max  uint64
+}
+
+// Carve initialises hs[i] as the histogram specs[i] describes, cutting
+// every bucket array from one shared allocation — a set of histograms
+// created together (a connection's) costs one allocation beyond the
+// memory holding hs. hs must be fresh (zero) values.
+func Carve(hs []Hist, specs ...Spec) {
+	n := 0
+	for _, sp := range specs {
+		n += bucketCount(sp.Max)
+	}
+	counts := make([]atomic.Uint64, n)
+	for i, sp := range specs {
+		k := bucketCount(sp.Max)
+		h := &hs[i]
+		h.name, h.unit, h.limit = sp.Name, sp.Unit, sp.Max
+		h.counts, counts = counts[:k:k], counts[k:]
+	}
+}
+
+// Add folds other's samples into h with atomic adds, as if every value
+// recorded into other had been recorded into h; other is read, not reset.
+// It allocates nothing. Like Snapshot.Merge it requires the same metric
+// and bucket layout and ignores a mismatch.
+func (h *Hist) Add(other *Hist) {
+	if h.name != other.name || h.unit != other.unit || len(h.counts) != len(other.counts) {
+		return
+	}
+	for i := range other.counts {
+		if c := other.counts[i].Load(); c != 0 {
+			h.counts[i].Add(c)
+		}
+	}
+	h.sum.Add(other.sum.Load())
 }
 
 // Name returns the metric name this histogram records.

@@ -3,10 +3,12 @@ package hist
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/cercs/iqrudp/internal/race"
 	"github.com/cercs/iqrudp/internal/stats"
 )
 
@@ -204,5 +206,125 @@ func TestRecordAllocs(t *testing.T) {
 	h := NewLatency(MetricRTT)
 	if n := testing.AllocsPerRun(1000, func() { h.Record(12345) }); n != 0 {
 		t.Fatalf("Record allocates %v times per op, want 0", n)
+	}
+}
+
+// TestAddMatchesMerge pins Add to Snapshot.Merge: folding several
+// histograms into an archive yields exactly the merged snapshot, overflow
+// bucket and clamped sum included, and the sources stay untouched.
+func TestAddMatchesMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	archive := NewLatency(MetricDelivery)
+	want := archive.Snapshot()
+	for i := 0; i < 5; i++ {
+		src := NewLatency(MetricDelivery)
+		for j := 0; j < 100*i; j++ {
+			src.Record(rng.Int63n(int64(2 * time.Minute))) // some overflow
+		}
+		before := src.Snapshot()
+		archive.Add(src)
+		want.Merge(before)
+		if !reflect.DeepEqual(src.Snapshot(), before) {
+			t.Fatal("Add modified its source")
+		}
+		if got := archive.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %d adds: archive %+v, merged snapshots %+v", i+1, got.Summary(), want.Summary())
+		}
+	}
+	// A different metric or layout is ignored, as Merge ignores it.
+	other := NewDepth(MetricBacklog)
+	other.Record(5)
+	archive.Add(other)
+	if got := archive.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatal("Add folded in a mismatched histogram")
+	}
+}
+
+// TestAddAllocs locks Add's zero-allocation claim: the serve engine folds
+// every closing connection into its archive with it.
+func TestAddAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	archive, src := NewLatency(MetricRTT), NewLatency(MetricRTT)
+	src.Record(12345)
+	if n := testing.AllocsPerRun(1000, func() { archive.Add(src) }); n != 0 {
+		t.Fatalf("Add allocates %v times per op, want 0", n)
+	}
+}
+
+// TestAddConcurrent folds a histogram that is still being recorded into an
+// archive that is being snapshotted: with every writer done, the archive
+// holds exactly the samples of each fold.
+func TestAddConcurrent(t *testing.T) {
+	const (
+		writers = 4
+		perW    = 5_000
+		folds   = 3
+	)
+	archive := NewLatency(MetricRTT)
+	done := make(chan struct{})
+	go func() { // concurrent reader
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				if s := archive.Snapshot(); s.Count > folds*writers*perW {
+					panic("snapshot overcounted")
+				}
+			}
+		}
+	}()
+	for f := 0; f < folds; f++ {
+		src := NewLatency(MetricRTT)
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for i := 0; i < perW; i++ {
+					src.Record(rng.Int63n(1_000_000))
+				}
+			}(int64(f*writers + w))
+		}
+		archive.Add(src) // races the writers: folds whatever has landed
+		wg.Wait()
+		partial := archive.Snapshot().Count
+		if partial > uint64((f+1)*writers*perW) {
+			t.Fatalf("fold %d: archive count %d exceeds samples recorded", f, partial)
+		}
+	}
+	close(done)
+}
+
+// TestCarve checks that carved histograms behave exactly like ones built by
+// the New* constructors, and that carving a set costs one allocation.
+func TestCarve(t *testing.T) {
+	var hs [2]Hist
+	Carve(hs[:], LatencySpec(MetricRTT), DepthSpec(MetricBacklog))
+	lat, dep := NewLatency(MetricRTT), NewDepth(MetricBacklog)
+	for i := int64(0); i < 1000; i++ {
+		hs[0].Record(i * 977)
+		lat.Record(i * 977)
+		hs[1].Record(i % 300)
+		dep.Record(i % 300)
+	}
+	// hs[0]'s overflow bucket sits next to hs[1]'s first bucket in the
+	// shared array: the two must not overlap.
+	hs[0].Record(int64(2 * time.Minute))
+	lat.Record(int64(2 * time.Minute))
+	if !reflect.DeepEqual(hs[0].Snapshot(), lat.Snapshot()) || !reflect.DeepEqual(hs[1].Snapshot(), dep.Snapshot()) {
+		t.Fatal("carved histograms differ from constructed ones")
+	}
+	if race.Enabled {
+		return
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		var fresh [2]Hist
+		Carve(fresh[:], LatencySpec(MetricRTT), DepthSpec(MetricBacklog))
+	}); n != 1 {
+		t.Fatalf("Carve allocates %v times for two histograms, want 1", n)
 	}
 }

@@ -64,8 +64,14 @@ const (
 // NewLatency returns a Seconds histogram for one of the latency metrics.
 func NewLatency(name string) *Hist { return New(name, Seconds, maxLatency) }
 
+// LatencySpec describes the histogram NewLatency builds, for Carve.
+func LatencySpec(name string) Spec { return Spec{Name: name, Unit: Seconds, Max: maxLatency} }
+
 // NewDepth returns a Count histogram for queue-depth metrics.
 func NewDepth(name string) *Hist { return New(name, Count, maxDepth) }
+
+// DepthSpec describes the histogram NewDepth builds, for Carve.
+func DepthSpec(name string) Spec { return Spec{Name: name, Unit: Count, Max: maxDepth} }
 
 // NewBatch returns a Count histogram for batch-size metrics.
 func NewBatch(name string) *Hist { return New(name, Count, maxBatch) }

@@ -2,11 +2,11 @@ package serve
 
 import (
 	"errors"
-	"net"
 	"net/netip"
 	"sync/atomic"
 	"time"
 
+	"github.com/cercs/iqrudp/internal/guard"
 	"github.com/cercs/iqrudp/internal/packet"
 	"github.com/cercs/iqrudp/internal/trace"
 	"github.com/cercs/iqrudp/internal/udpwire"
@@ -130,17 +130,17 @@ func (srv *Server) cookieMode(synRate int64) bool {
 // handles this transparently, costing legitimate dialers one round trip).
 // A RETRY is barely larger than the minimal SYN that elicits it, so the
 // reflected amplitude stays well under the 3x budget by construction.
-// raddr is src in the guard toolkit's net form, already built by the caller.
 //
 //iqlint:borrow
-func (sh *shard) sendRetry(p *packet.Packet, src netip.AddrPort, raddr *net.UDPAddr, reason string) {
+func (sh *shard) sendRetry(p *packet.Packet, src netip.AddrPort, reason string) {
 	srv := sh.srv
-	cookie := srv.cookies.Mint(raddr, p.ConnID, time.Now())
+	var cookie [guard.CookieLen]byte
+	srv.cookies.MintInto(&cookie, src, p.ConnID, time.Now())
 	_ = sh.io.encodeTx(&packet.Packet{
 		Type:    packet.RETRY,
 		ConnID:  p.ConnID,
 		Ack:     p.Seq + 1,
-		Payload: cookie,
+		Payload: cookie[:],
 	}, src)
 	srv.retrySent.Add(1)
 	if srv.cfg.Tracer != nil {

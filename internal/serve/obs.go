@@ -17,8 +17,10 @@ import (
 // document.
 
 // noteClosed archives a detaching connection's observability state: its
-// histogram samples merge into the engine-wide archive and, if it died
-// abnormally, its flight record joins the bounded retention ring.
+// histogram samples fold into the engine-wide archive (atomic adds into
+// histograms the engine owns; nothing is allocated once the archive exists)
+// and, if it died abnormally, its flight record joins the bounded retention
+// ring.
 func (srv *Server) noteClosed(c *udpwire.Conn) {
 	hs := c.Hists()
 	rec := c.FlightRecord()
@@ -28,7 +30,10 @@ func (srv *Server) noteClosed(c *udpwire.Conn) {
 	srv.obsMu.Lock()
 	defer srv.obsMu.Unlock()
 	if hs != nil {
-		srv.archive = hist.MergeByName(append(srv.archive, hs.Snapshots()...))
+		if srv.archive == nil {
+			srv.archive = core.NewHists()
+		}
+		srv.archive.Add(hs)
 	}
 	if rec != nil {
 		srv.flightTotal++
@@ -91,7 +96,9 @@ func (srv *Server) HistSnapshots() []hist.Snapshot {
 		}
 	}
 	srv.obsMu.Lock()
-	snaps = append(snaps, srv.archive...)
+	if srv.archive != nil {
+		snaps = append(snaps, srv.archive.Snapshots()...)
+	}
 	srv.obsMu.Unlock()
 	return hist.MergeByName(snaps)
 }
@@ -193,12 +200,10 @@ func (srv *Server) Introspect() Introspection {
 }
 
 // connConfig derives the per-connection transport config: the shared
-// engine config plus this connection's own histogram set and flight
-// recorder, plus the hardening hooks — a random SYNACK ISN (so a blind
-// spoofer cannot forge the handshake-completing ack), the shared memory
-// ledger, and the governor's brownout level (sampled live by the machine;
-// at level ≥2 the initial advertised window is additionally clamped so
-// brand-new connections start small).
+// engine config (which Listen already wired to the memory ledger and the
+// governor's brownout level) plus this connection's own histogram set and
+// flight recorder, and a random SYNACK ISN (so a blind spoofer cannot
+// forge the handshake-completing ack).
 func (srv *Server) connConfig() core.Config {
 	cfg := srv.cfg
 	if fe := srv.opt.FlightEvents; fe > 0 {
@@ -207,10 +212,6 @@ func (srv *Server) connConfig() core.Config {
 	}
 	for cfg.InitialSeq == 0 {
 		cfg.InitialSeq = rand.Uint32()
-	}
-	if srv.gov != nil {
-		cfg.Mem = srv.ledger
-		cfg.Pressure = srv.gov.Level
 	}
 	return cfg
 }

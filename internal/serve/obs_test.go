@@ -2,9 +2,11 @@ package serve
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
+	"github.com/cercs/iqrudp/internal/core"
 	"github.com/cercs/iqrudp/internal/hist"
 	"github.com/cercs/iqrudp/internal/trace"
 	"github.com/cercs/iqrudp/internal/udpwire"
@@ -182,5 +184,92 @@ func TestFlightRecordLRU(t *testing.T) {
 	}
 	if rs[0].ConnID != ids[1] || rs[1].ConnID != ids[2] {
 		t.Fatalf("retained %d,%d; want newest two %d,%d", rs[0].ConnID, rs[1].ConnID, ids[1], ids[2])
+	}
+}
+
+// TestArchiveMatchesMerge pins the in-place closed-connection archive to
+// the merge it replaced: after a mix of clean and abnormal closes,
+// HistSnapshots reports, for every machine metric, exactly
+// hist.MergeByName over the closed connections' own snapshots — and
+// before the first close it reports no machine metric at all.
+func TestArchiveMatchesMerge(t *testing.T) {
+	const conns = 6
+	srv := startServer(t, Options{Shards: 2, DrainTimeout: 2 * time.Second})
+	machineMetric := map[string]bool{}
+	for _, s := range core.NewHists().Snapshots() {
+		machineMetric[s.Name] = true
+	}
+	archived := func() []hist.Snapshot {
+		var out []hist.Snapshot
+		for _, s := range srv.HistSnapshots() {
+			if machineMetric[s.Name] {
+				out = append(out, s)
+			}
+		}
+		return out
+	}
+	if got := archived(); len(got) != 0 {
+		t.Fatalf("machine metrics before any connection: %+v", got)
+	}
+
+	var closed []hist.Snapshot
+	for i := 0; i < conns; i++ {
+		cc, err := udpwire.Dial(srv.Addr().String(), testConfig(), 5*time.Second)
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		sc, err := srv.Accept(5 * time.Second)
+		if err != nil {
+			t.Fatalf("Accept: %v", err)
+		}
+		// Traffic both ways, so the server machine records delivery, RTT,
+		// ack-delay and backlog samples.
+		for j := 0; j <= i; j++ {
+			if err := cc.Send([]byte("ping"), true); err != nil {
+				t.Fatalf("Send: %v", err)
+			}
+			if _, err := sc.Recv(5 * time.Second); err != nil {
+				t.Fatalf("Recv: %v", err)
+			}
+			if err := sc.Send([]byte("pong"), true); err != nil {
+				t.Fatalf("server Send: %v", err)
+			}
+			if _, err := cc.Recv(5 * time.Second); err != nil {
+				t.Fatalf("client Recv: %v", err)
+			}
+		}
+		if i%2 == 0 {
+			cc.Close() // clean: the server sees the FIN, then closes its side
+			if _, err := sc.Recv(5 * time.Second); err == nil {
+				t.Fatal("server Recv succeeded after the client closed")
+			}
+			sc.Close()
+		} else {
+			sc.AbortWith(trace.ReasonPeerDead) // abnormal: leaves a flight record
+			cc.Abort()
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for srv.Conns() > 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if srv.Conns() != 0 {
+			t.Fatalf("connection %d never detached", i)
+		}
+		closed = append(closed, sc.Hists().Snapshots()...)
+	}
+
+	want := hist.MergeByName(closed)
+	if got := archived(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("archive:\n%+v\nmerge of closed connections:\n%+v", got, want)
+	}
+	var samples uint64
+	for _, s := range want {
+		samples += s.Count
+	}
+	if samples == 0 {
+		t.Fatal("closed connections recorded no samples; the comparison proves nothing")
+	}
+	if _, total := srv.FlightRecords(); total != conns/2 {
+		t.Fatalf("%d flight records, want %d (one per abnormal close)", total, conns/2)
 	}
 }

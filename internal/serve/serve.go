@@ -239,10 +239,11 @@ type Server struct {
 	rstSuppressed atomic.Uint64        // refusal RSTs suppressed by the rate cap
 	ampCapped     atomic.Uint64        // packets suppressed by the anti-amplification gate
 
-	// Observability retention (see obs.go): merged histograms of closed
-	// connections and the bounded flight-record ring.
+	// Observability retention (see obs.go): the closed connections'
+	// histograms, folded in place into one set (nil until the first close
+	// that carries histograms), and the bounded flight-record ring.
 	obsMu       sync.Mutex
-	archive     []hist.Snapshot
+	archive     *core.Hists
 	flights     []*core.FlightRecord
 	flightTotal uint64
 }
@@ -283,6 +284,12 @@ func Listen(laddr string, cfg core.Config, opt Options) (*Server, error) {
 	if opt.MemLimit > 0 {
 		srv.ledger = &guard.Ledger{}
 		srv.gov = guard.NewGovernor(srv.ledger, opt.MemLimit)
+		// Every admitted machine charges the shared ledger and samples the
+		// governor's brownout level live (at level ≥2 its initial advertised
+		// window is clamped so brand-new connections start small). The
+		// level method is bound here once, not per connection.
+		srv.cfg.Mem = srv.ledger
+		srv.cfg.Pressure = srv.gov.Level
 	}
 	if opt.SynPrefixRate > 0 {
 		srv.synLimiter = guard.NewPrefixLimiter(float64(opt.SynPrefixRate), 4096)
@@ -321,8 +328,10 @@ func Listen(laddr string, cfg core.Config, opt Options) (*Server, error) {
 	// Each shard routes transmissions through the shard that owns its
 	// socket's I/O loops (itself on Linux; shard 0 in the single-socket
 	// fallback where len(socks) < Shards).
-	for i := range srv.shards {
-		srv.shards[i].io = srv.shards[i%len(socks)]
+	for i, sh := range srv.shards {
+		sh.io = srv.shards[i%len(socks)]
+		sh.enqueueFn = sh.enqueueTx
+		sh.detachFn = sh.detach
 	}
 	for i := range socks {
 		sh := srv.shards[i]

@@ -50,6 +50,11 @@ type shard struct {
 	// drawn from srv.txPool; txLoop returns it once sent or dropped.
 	txq chan uio.Msg
 
+	// enqueueFn and detachFn are enqueueTx and detach bound once at Listen,
+	// so admitting a connection hands them over without making closures.
+	enqueueFn udpwire.SendFunc
+	detachFn  func(c *udpwire.Conn)
+
 	rxPackets atomic.Uint64
 	rxBatches atomic.Uint64
 	rxErrors  atomic.Uint64
@@ -188,15 +193,13 @@ func (sh *shard) acceptSyn(p *packet.Packet, src netip.AddrPort) {
 	}
 
 	now := time.Now()
-	// The guard toolkit speaks net types; only SYNs pay for the conversion.
-	raddr := net.UDPAddrFromAddrPort(src)
 
 	// Peel the optional cookie block off the SYN payload and verify it
 	// against the rotating secret. A cookie binds (source address, proposed
 	// ConnID), so a valid one proves this 4-tuple completed a RETRY round
 	// trip — the peer owns its source address.
 	cookie, rest := packet.SplitSynPayload(p.Payload)
-	cookieOK := cookie != nil && srv.cookies.Verify(cookie, raddr, p.ConnID, now)
+	cookieOK := cookie != nil && srv.cookies.VerifyAddr(cookie, src, p.ConnID, now)
 	if cookie != nil && !cookieOK {
 		srv.cookieRejects.Add(1)
 	}
@@ -208,7 +211,7 @@ func (sh *shard) acceptSyn(p *packet.Packet, src netip.AddrPort) {
 	// which keeps legitimate clients reachable from a flooded /24.
 	synRate := srv.synMeter.tick(now)
 	needCookie := srv.cookieMode(synRate)
-	if !cookieOK && srv.synLimiter != nil && !srv.synLimiter.Allow(raddr.IP, now) {
+	if !cookieOK && srv.synLimiter != nil && !srv.synLimiter.AllowAddr(src.Addr(), now) {
 		srv.synLimited.Add(1)
 		needCookie = true
 	}
@@ -225,7 +228,7 @@ func (sh *shard) acceptSyn(p *packet.Packet, src netip.AddrPort) {
 	if prevID, ok := packet.ParseResumeToken(rest); ok && prevID != p.ConnID {
 		if !cookieOK {
 			srv.evictDenied.Add(1)
-			sh.sendRetry(p, src, raddr, trace.ReasonEvictDenied)
+			sh.sendRetry(p, src, trace.ReasonEvictDenied)
 			return
 		}
 		home := srv.homeShard(prevID)
@@ -253,7 +256,7 @@ func (sh *shard) acceptSyn(p *packet.Packet, src netip.AddrPort) {
 		if cookie != nil {
 			reason = trace.ReasonBadCookie
 		}
-		sh.sendRetry(p, src, raddr, reason)
+		sh.sendRetry(p, src, reason)
 		return
 	}
 
@@ -275,7 +278,7 @@ func (sh *shard) acceptSyn(p *packet.Packet, src netip.AddrPort) {
 		if !cookieOK {
 			sh.mu.Unlock()
 			srv.evictDenied.Add(1)
-			sh.sendRetry(p, src, raddr, trace.ReasonEvictDenied)
+			sh.sendRetry(p, src, trace.ReasonEvictDenied)
 			return
 		}
 		if zombie := sh.byID[oldID]; zombie != nil {
@@ -294,7 +297,7 @@ func (sh *shard) acceptSyn(p *packet.Packet, src netip.AddrPort) {
 	}
 
 	io := sh.io
-	send := io.enqueueTx
+	send := io.enqueueFn
 	var g *ampGate
 	if !cookieOK {
 		// Admitted without address validation (light load): cap bytes
@@ -305,7 +308,7 @@ func (sh *shard) acceptSyn(p *packet.Packet, src netip.AddrPort) {
 		send = sh.gatedSendTo(g, p.ConnID)
 	}
 	c := udpwire.NewAcceptedOn(sh.wh, srv.connConfig(), io.sock.LocalAddr(), src,
-		srv.txPool, send, sh.detach)
+		srv.txPool, send, sh.detachFn)
 	if g != nil {
 		g.conn.Store(c)
 	}

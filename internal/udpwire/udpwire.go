@@ -595,6 +595,22 @@ func (c *Conn) CloseWithin(linger time.Duration) error {
 	c.m.Close()
 	c.flushTxLocked()
 	c.mu.Unlock()
+	if !c.Closed() {
+		c.awaitDrain(linger)
+	}
+	if c.ownSocket {
+		c.sock.Close()
+	}
+	if c.onDetach != nil {
+		c.detachOnce.Do(func() { c.onDetach(c) })
+	}
+	return nil
+}
+
+// awaitDrain waits up to linger for the graceful drain begun by Close. A
+// connection that is already closed (the peer's FIN landed first, or Close
+// itself aborted a half-open one) never gets here, so it arms no timer.
+func (c *Conn) awaitDrain(linger time.Duration) {
 	lingerT := time.NewTimer(linger) //iqlint:ignore timeafterloop -- one-shot close linger; the caller blocks on channel receive
 	defer lingerT.Stop()
 	select {
@@ -608,13 +624,6 @@ func (c *Conn) CloseWithin(linger time.Duration) error {
 		c.mu.Unlock()
 		c.closeOnce.Do(func() { close(c.closed) })
 	}
-	if c.ownSocket {
-		c.sock.Close()
-	}
-	if c.onDetach != nil {
-		c.detachOnce.Do(func() { c.onDetach(c) })
-	}
-	return nil
 }
 
 // Abort tears the connection down immediately without any wire traffic —
